@@ -63,14 +63,10 @@ Result<LocalBackendSet> CreateLocalBackends(
     }
   }
 
-  // ONE admission pipeline across all shard engines, exactly as
-  // ShardRouter::Create does: max_in_flight stays a machine budget.
-  PipelineOptions pipeline_options;
-  pipeline_options.max_in_flight = engine_options.max_in_flight;
-  pipeline_options.max_queue = engine_options.max_queue;
-  pipeline_options.max_attempts = engine_options.max_attempts;
-  pipeline_options.retry_backoff_seconds = engine_options.retry_backoff_seconds;
-  auto pipeline = std::make_shared<RequestPipeline>(pipeline_options);
+  // ONE admission pipeline across all shard engines: max_in_flight is
+  // a statement about the machine, not about any single shard.
+  auto pipeline =
+      std::make_shared<RequestPipeline>(engine_options.pipeline_options());
 
   LocalBackendSet set;
   set.bounds = bounds;

@@ -1,18 +1,20 @@
 // ShardBackend: the transport seam of the sharded serving layer.
 //
-// PR 5's ShardRouter talks to its shards through direct SelectionEngine
-// calls — one process, one address space. The jump to a fleet keeps the
-// routing layer but swaps what a "shard" is: this interface is the
-// contract a router needs from a shard and nothing more (answer one
-// request, answer a sub-batch, report health), so the same
-// RpcShardRouter code serves
-//   * LocalShardBackend — an in-process SelectionEngine (today's path,
-//     byte-for-byte), and
+// A ShardRouter (service/router.h) routes and scatter/gathers over N
+// shards; this interface is the contract it needs from a shard and
+// nothing more (answer one request, answer a sub-batch, report health),
+// so the ONE router serves
+//   * LocalShardBackend — an in-process SelectionEngine, and
 //   * RpcShardBackend (net/client.h) — a pool of connections to a
 //     shard_server process hosting that engine behind the wire
 //     protocol.
 // The transport oracle (tests/net_transport_oracle_test.cc) holds the
-// two implementations to byte-identical responses.
+// two transports to byte-identical responses.
+//
+// Shard admin (corpus swap, delta apply), metrics rollup and traces
+// need the engine in this process: a backend exposes it through
+// local_engine(), and the router answers kNotImplemented for a shard
+// that has none.
 //
 // Deadlines cross the seam as data (SelectRequest::deadline_seconds);
 // CancelTokens do not — they are process-local (docs/execution-model.md
@@ -66,6 +68,10 @@ class ShardBackend {
   /// Transport description for logs/errors ("local:0",
   /// "rpc:unix:/run/shard0.sock").
   virtual std::string name() const = 0;
+
+  /// The shard's engine when it runs in this process; nullptr for a
+  /// remote shard, whose lifecycle belongs to its own process.
+  virtual SelectionEngine* local_engine() { return nullptr; }
 };
 
 /// In-process backend: wraps one shard's SelectionEngine.
@@ -81,8 +87,7 @@ class LocalShardBackend : public ShardBackend {
       const std::vector<SelectRequest>& requests) override;
   Result<ShardHealth> Probe() override;
   std::string name() const override;
-
-  SelectionEngine& engine() { return *engine_; }
+  SelectionEngine* local_engine() override { return engine_.get(); }
 
  private:
   std::shared_ptr<SelectionEngine> engine_;
@@ -90,7 +95,7 @@ class LocalShardBackend : public ShardBackend {
 };
 
 /// A partitioned set of local backends plus the bounds that route to
-/// them — everything RpcShardRouter::Create needs for the in-process
+/// them — everything ShardRouter::Create needs for the in-process
 /// transport.
 struct LocalBackendSet {
   std::vector<std::string> bounds;
@@ -98,11 +103,10 @@ struct LocalBackendSet {
 };
 
 /// Partitions `corpus` into `num_shards` ranges and builds one
-/// LocalShardBackend per shard, mirroring ShardRouter::Create exactly:
-/// same partitioner, same ONE shared RequestPipeline across all shard
-/// engines (admission stays a machine-wide budget), same per-shard
-/// EngineOptions stamping. A router over these backends is therefore
-/// byte-identical to the PR 5 ShardRouter.
+/// LocalShardBackend per shard: ONE RequestPipeline shared across all
+/// shard engines (admission stays a machine-wide budget), each engine
+/// stamped with its stable shard id. num_shards == 1 serves the input
+/// snapshot unpartitioned — byte-for-byte a single engine.
 Result<LocalBackendSet> CreateLocalBackends(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     EngineOptions engine_options);

@@ -75,6 +75,16 @@ std::string ResultKey(const std::string& prepare_key,
 
 }  // namespace
 
+PipelineOptions EngineOptions::pipeline_options() const {
+  PipelineOptions options;
+  options.max_in_flight = max_in_flight;
+  options.max_queue = max_queue;
+  options.max_batch_queue = max_batch_queue;
+  options.max_attempts = max_attempts;
+  options.retry_backoff_seconds = retry_backoff_seconds;
+  return options;
+}
+
 SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
                                  EngineOptions options)
     : options_(options),
@@ -84,13 +94,8 @@ SelectionEngine::SelectionEngine(std::shared_ptr<const IndexedCorpus> corpus,
   if (options_.pipeline == nullptr) {
     // Standalone engine: a private pipeline from the engine's own
     // knobs, behaving exactly like the pre-extraction admission/retry.
-    PipelineOptions pipeline_options;
-    pipeline_options.max_in_flight = options_.max_in_flight;
-    pipeline_options.max_queue = options_.max_queue;
-    pipeline_options.max_batch_queue = options_.max_batch_queue;
-    pipeline_options.max_attempts = options_.max_attempts;
-    pipeline_options.retry_backoff_seconds = options_.retry_backoff_seconds;
-    options_.pipeline = std::make_shared<RequestPipeline>(pipeline_options);
+    options_.pipeline =
+        std::make_shared<RequestPipeline>(options_.pipeline_options());
   }
   quality_floor_.store(static_cast<int>(options_.min_quality_tier),
                        std::memory_order_relaxed);
@@ -254,8 +259,8 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
     const SelectRequest& request,
     std::shared_ptr<const IndexedCorpus> corpus,
     const std::string& prepare_key, const std::string& result_key,
-    const ExecControl& control, const ParallelContext& parallel,
-    RequestTrace* trace) const {
+    bool degraded, const ExecControl& control,
+    const ParallelContext& parallel, RequestTrace* trace) const {
   COMPARESETS_RETURN_NOT_OK(CheckLive(control, "prepare"));
 
   Timer prepare_timer;
@@ -270,11 +275,21 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
   if (!prepared.ok()) return prepared.status();
   metrics_.histogram("engine.prepare_seconds").Observe(prepare_seconds);
 
-  auto selector = MakeSelector(request.selector);
-  if (!selector.ok()) return selector.status();
+  // Degraded: greedy under the FULL control (deadline and cancel both
+  // honored) — degradation buys a cheap answer, not an unbounded one.
+  std::unique_ptr<ReviewSelector> selector;
+  if (degraded) {
+    selector = std::make_unique<CompareSetsGreedySelector>();
+  } else {
+    auto made = MakeSelector(request.selector);
+    if (!made.ok()) return made.status();
+    selector = std::move(made).value();
+  }
 
   COMPARESETS_RETURN_NOT_OK(CheckLive(control, "solve"));
-  if (options_.fault_injector) {
+  // The solve fault seam is the exact path's alone, so a seeded fault
+  // sequence never shifts with the overload pattern.
+  if (options_.fault_injector && !degraded) {
     COMPARESETS_RETURN_NOT_OK(
         options_.fault_injector->Inject(FaultSite::kSolve));
   }
@@ -282,17 +297,21 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
   const PreparedInstance& bundle = *prepared.value();
   // The engine decides pool lending, not the caller: the request's
   // options get the context chosen by the nesting rule (empty inside a
-  // pooled batch, the whole pool for a lone Select). The degradation
-  // floor combines the request's with the engine-wide policy — either
-  // side may loosen. At the default kExact floor SelectTiered IS
-  // Select: same call, same bits.
+  // pooled batch, the whole pool for a lone Select). The exact path's
+  // degradation floor combines the request's with the engine-wide
+  // policy — either side may loosen. At the default kExact floor
+  // SelectTiered IS Select: same call, same bits.
   SelectorOptions solve_options = request.options;
   solve_options.parallel = parallel;
-  solve_options.min_tier =
-      LooserTier(request.options.min_tier, quality_floor());
+  if (!degraded) {
+    solve_options.min_tier =
+        LooserTier(request.options.min_tier, quality_floor());
+  }
   Timer solve_timer;
   auto solved =
-      selector.value()->SelectTiered(bundle.vectors, solve_options, &control);
+      degraded ? selector->Select(bundle.vectors, solve_options, &control)
+               : selector->SelectTiered(bundle.vectors, solve_options,
+                                        &control);
   double solve_seconds = solve_timer.ElapsedSeconds();
   trace->solve_seconds = solve_seconds;
   if (!solved.ok()) return solved.status();
@@ -306,8 +325,8 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
   }
   response.selections = std::move(solved.value().selections);
   response.objective = solved.value().objective;
-  response.tier = solved.value().tier;
-  response.objective_gap = solved.value().objective_gap;
+  response.tier = degraded ? QualityTier::kAnytime : solved.value().tier;
+  response.objective_gap = degraded ? 0.0 : solved.value().objective_gap;
   trace->tier = QualityTierName(response.tier);
   trace->objective_gap = response.objective_gap;
   if (options_.measure_alignment) {
@@ -319,71 +338,14 @@ Result<SelectResponse> SelectionEngine::SelectAttempt(
   response.solve_seconds = solve_seconds;
   // The memoized copy keeps a default trace: a later memo hit gets a
   // fresh trace for ITS lifecycle, never the solving request's.
-  // kAnytime answers are never stored: they depend on the deadline, a
-  // runtime control deliberately outside the key — memoizing one would
-  // let a degraded answer shadow the exact one forever. kExact and
-  // kSampled are deterministic functions of the key (the sampling draw
-  // is seeded), so they memoize like before.
+  // kAnytime answers are never stored: they depend on the deadline or
+  // the load, runtime conditions deliberately outside the key —
+  // memoizing one would let a degraded answer shadow the exact one
+  // forever. kExact and kSampled are deterministic functions of the key
+  // (the sampling draw is seeded), so they memoize like before.
   if (options_.result_capacity > 0 && response.tier != QualityTier::kAnytime) {
     ResultStore(result_key, response);
   }
-  return response;
-}
-
-Result<SelectResponse> SelectionEngine::DegradedAttempt(
-    const SelectRequest& request,
-    std::shared_ptr<const IndexedCorpus> corpus,
-    const std::string& prepare_key, const ExecControl& control,
-    const ParallelContext& parallel, RequestTrace* trace) const {
-  COMPARESETS_RETURN_NOT_OK(CheckLive(control, "degraded prepare"));
-
-  Timer prepare_timer;
-  bool cache_hit = false;
-  auto prepared =
-      Prepare(std::move(corpus), prepare_key, request, &cache_hit);
-  double prepare_seconds = prepare_timer.ElapsedSeconds();
-  metrics_.counter(cache_hit ? "engine.cache_hits" : "engine.cache_misses")
-      .Increment();
-  trace->cache_hit = cache_hit;
-  trace->prepare_seconds = prepare_seconds;
-  if (!prepared.ok()) return prepared.status();
-  metrics_.histogram("engine.prepare_seconds").Observe(prepare_seconds);
-
-  COMPARESETS_RETURN_NOT_OK(CheckLive(control, "degraded solve"));
-
-  const PreparedInstance& bundle = *prepared.value();
-  SelectorOptions solve_options = request.options;
-  solve_options.parallel = parallel;
-  // Greedy under the FULL control (deadline and cancel both honored):
-  // degradation buys a cheap answer, not an unbounded one.
-  CompareSetsGreedySelector greedy;
-  Timer solve_timer;
-  auto solved = greedy.Select(bundle.vectors, solve_options, &control);
-  double solve_seconds = solve_timer.ElapsedSeconds();
-  trace->solve_seconds = solve_seconds;
-  if (!solved.ok()) return solved.status();
-  metrics_.histogram("engine.solve_seconds").Observe(solve_seconds);
-
-  SelectResponse response;
-  response.target_id = bundle.instance.target().id;
-  response.item_ids.reserve(bundle.instance.num_items());
-  for (const Product* item : bundle.instance.items) {
-    response.item_ids.push_back(item->id);
-  }
-  response.selections = std::move(solved.value().selections);
-  response.objective = solved.value().objective;
-  response.tier = QualityTier::kAnytime;
-  response.objective_gap = 0.0;
-  trace->tier = QualityTierName(response.tier);
-  trace->objective_gap = response.objective_gap;
-  if (options_.measure_alignment) {
-    response.alignment =
-        MeasureAlignment(bundle.instance, response.selections);
-  }
-  response.cache_hit = cache_hit;
-  response.prepare_seconds = prepare_seconds;
-  response.solve_seconds = solve_seconds;
-  // Deliberately not memoized: this answer reflects load, not the key.
   return response;
 }
 
@@ -557,8 +519,9 @@ Result<SelectResponse> SelectionEngine::SelectWithParallel(
           LooserTier(request.options.min_tier, quality_floor());
       if (admitted.code() == StatusCode::kResourceExhausted &&
           floor != QualityTier::kExact) {
-        auto degraded = DegradedAttempt(request, corpus, prepare_key,
-                                        control, parallel, &trace);
+        auto degraded =
+            SelectAttempt(request, corpus, prepare_key, result_key,
+                          /*degraded=*/true, control, parallel, &trace);
         if (degraded.ok()) {
           metrics_.counter("engine.degraded").Increment();
           if (slo_shedding_.load(std::memory_order_relaxed)) {
@@ -579,7 +542,7 @@ Result<SelectResponse> SelectionEngine::SelectWithParallel(
       [&](int attempt) {
         trace.attempts = attempt;
         return SelectAttempt(request, corpus, prepare_key, result_key,
-                             control, parallel, &trace);
+                             /*degraded=*/false, control, parallel, &trace);
       },
       [&](double slept_seconds) {
         metrics_.counter("engine.retries").Increment();

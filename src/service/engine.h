@@ -140,11 +140,16 @@ struct EngineOptions {
   /// inside the solve returns the incumbent via SelectTiered.
   QualityTier min_quality_tier = QualityTier::kExact;
   /// Admission/retry policy shared with other engines. nullptr = the
-  /// engine builds a private RequestPipeline from the four knobs above
-  /// (the standalone behaviour). A ShardRouter installs one pipeline
-  /// across all its shard engines so max_in_flight is a router-wide
-  /// budget, not per-shard.
+  /// engine builds a private RequestPipeline from pipeline_options()
+  /// (the standalone behaviour). CreateLocalBackends installs one
+  /// pipeline across all its shard engines so max_in_flight is a
+  /// router-wide budget, not per-shard.
   std::shared_ptr<RequestPipeline> pipeline;
+
+  /// The admission/retry knobs above as a RequestPipeline's options —
+  /// the one place they are copied, for private and shared pipelines
+  /// alike.
+  PipelineOptions pipeline_options() const;
 };
 
 struct SelectRequest {
@@ -335,28 +340,24 @@ class SelectionEngine {
   /// admission and the memo lookup). Transient failures bubble up for
   /// the retry loop in SelectWithParallel. `parallel` replaces the
   /// request options' context before the solve.
+  ///
+  /// `degraded` is the answer an admission refusal falls back to when
+  /// the effective floor admits kAnytime, solved inline WITHOUT a
+  /// pipeline slot. It differs from the exact attempt in three rules:
+  /// the selector is the greedy incumbent (plain Select, no tier
+  /// loosening, no kSolve fault seam), the answer is tier kAnytime with
+  /// gap 0, and it is never memoized — overload answers must not shadow
+  /// exact ones.
   Result<SelectResponse> SelectAttempt(
       const SelectRequest& request,
       std::shared_ptr<const IndexedCorpus> corpus,
       const std::string& prepare_key, const std::string& result_key,
-      const ExecControl& control, const ParallelContext& parallel,
-      RequestTrace* trace) const;
+      bool degraded, const ExecControl& control,
+      const ParallelContext& parallel, RequestTrace* trace) const;
 
   /// Records the trace and error counters of a failed request.
   Status FinishError(RequestTrace trace, Status status,
                      const Timer& total) const;
-
-  /// The degraded answer an admission refusal falls back to when the
-  /// effective floor admits kAnytime: prepare (cache-served when warm)
-  /// + the greedy incumbent, solved inline WITHOUT a pipeline slot.
-  /// Never memoized — overload answers must not shadow exact ones.
-  Result<SelectResponse> DegradedAttempt(const SelectRequest& request,
-                                         std::shared_ptr<const IndexedCorpus>
-                                             corpus,
-                                         const std::string& prepare_key,
-                                         const ExecControl& control,
-                                         const ParallelContext& parallel,
-                                         RequestTrace* trace) const;
 
   /// Warm-up for one batch window [begin, end): prepares every unique
   /// (instance, selector, λ) combination once and batch-builds its

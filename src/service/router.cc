@@ -1,10 +1,12 @@
 #include "service/router.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <iterator>
 #include <map>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "util/timer.h"
@@ -23,63 +25,55 @@ const char* ShardStateName(ShardState state) {
   return "unknown";
 }
 
-ShardRouter::ShardRouter(RouterOptions options, std::vector<std::string> bounds)
+ShardRouter::ShardRouter(std::vector<std::string> bounds,
+                         std::vector<std::unique_ptr<ShardBackend>> backends,
+                         RouterOptions options)
     : options_(std::move(options)),
       bounds_(std::move(bounds)),
-      pool_(options_.router_threads) {}
+      backends_(std::move(backends)),
+      states_(std::make_unique<std::atomic<int>[]>(backends_.size())),
+      pool_(options_.router_threads) {
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    states_[s].store(static_cast<int>(ShardState::kServing));
+  }
+}
 
 Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     RouterOptions options) {
-  if (corpus == nullptr) {
-    return Status::InvalidArgument("ShardRouter requires a corpus");
-  }
   COMPARESETS_ASSIGN_OR_RETURN(
-      std::vector<std::string> bounds,
-      CorpusPartitioner::ComputeBounds(*corpus, num_shards));
+      LocalBackendSet local,
+      CreateLocalBackends(std::move(corpus), num_shards, options.engine));
+  return Create(std::move(local.bounds), std::move(local.backends),
+                std::move(options));
+}
 
-  std::vector<std::shared_ptr<const IndexedCorpus>> shards;
-  shards.reserve(num_shards);
-  if (num_shards == 1) {
-    // The unsharded snapshot IS the one-shard partition: serve it
-    // as-is so the single-shard router shares every byte with a plain
-    // engine.
-    shards.push_back(std::move(corpus));
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      COMPARESETS_ASSIGN_OR_RETURN(auto shard,
-                                   CorpusPartitioner::ExtractShard(
-                                       *corpus, bounds, s));
-      shards.push_back(std::move(shard));
+Result<std::unique_ptr<ShardRouter>> ShardRouter::Create(
+    std::vector<std::string> bounds,
+    std::vector<std::unique_ptr<ShardBackend>> backends,
+    RouterOptions options) {
+  if (backends.empty()) {
+    return Status::InvalidArgument("ShardRouter requires backends");
+  }
+  if (bounds.size() != backends.size()) {
+    return Status::InvalidArgument(
+        "ShardRouter needs one bound per backend: " +
+        std::to_string(bounds.size()) + " bounds, " +
+        std::to_string(backends.size()) + " backends");
+  }
+  if (bounds[0] != "") {
+    return Status::InvalidArgument("bounds[0] must be the empty string");
+  }
+  if (!std::is_sorted(bounds.begin(), bounds.end())) {
+    return Status::InvalidArgument("bounds must be sorted");
+  }
+  for (const auto& backend : backends) {
+    if (backend == nullptr) {
+      return Status::InvalidArgument("ShardRouter backend is null");
     }
   }
-
-  std::unique_ptr<ShardRouter> router(
-      new ShardRouter(std::move(options), std::move(bounds)));
-  // ONE admission pipeline across all shard engines: max_in_flight is
-  // a statement about the machine, not about any single shard.
-  PipelineOptions pipeline_options;
-  pipeline_options.max_in_flight = router->options_.engine.max_in_flight;
-  pipeline_options.max_queue = router->options_.engine.max_queue;
-  pipeline_options.max_batch_queue = router->options_.engine.max_batch_queue;
-  pipeline_options.max_attempts = router->options_.engine.max_attempts;
-  pipeline_options.retry_backoff_seconds =
-      router->options_.engine.retry_backoff_seconds;
-  router->pipeline_ = std::make_shared<RequestPipeline>(pipeline_options);
-
-  router->engines_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    EngineOptions engine_options = router->options_.engine;
-    engine_options.shard_id = s;
-    engine_options.pipeline = router->pipeline_;
-    router->engines_.push_back(std::make_unique<SelectionEngine>(
-        std::move(shards[s]), std::move(engine_options)));
-  }
-  router->states_ = std::make_unique<std::atomic<int>[]>(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    router->states_[s].store(static_cast<int>(ShardState::kServing));
-  }
-  return router;
+  return std::unique_ptr<ShardRouter>(new ShardRouter(
+      std::move(bounds), std::move(backends), std::move(options)));
 }
 
 size_t ShardRouter::ShardForTarget(const std::string& target_id) const {
@@ -97,9 +91,13 @@ ShardKeyRange ShardRouter::RangeOf(size_t shard_id) const {
   return range;
 }
 
+ShardState ShardRouter::StateOf(size_t shard_id) const {
+  return static_cast<ShardState>(
+      states_[shard_id].load(std::memory_order_acquire));
+}
+
 Status ShardRouter::CheckRoutable(size_t shard) const {
-  auto state = static_cast<ShardState>(
-      states_[shard].load(std::memory_order_acquire));
+  ShardState state = StateOf(shard);
   if (state == ShardState::kServing) return Status::OK();
   metrics_.counter("router.unavailable").Increment();
   return Status::Unavailable("shard " + std::to_string(shard) + " " +
@@ -121,7 +119,7 @@ Result<SelectResponse> ShardRouter::Select(const SelectRequest& request) const {
   metrics_.counter("router.routed").Increment();
   metrics_.counter("router.shard_requests." + std::to_string(shard))
       .Increment();
-  return engines_[shard]->Select(request);
+  return backends_[shard]->Select(request);
 }
 
 std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
@@ -132,8 +130,8 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
 
   // Scatter: route every request up front. Router-level refusals (route
   // faults, unavailable shards) land in their slots without touching
-  // any engine; the rest are grouped per shard, original order kept.
-  std::vector<std::vector<size_t>> by_shard(engines_.size());
+  // any shard; the rest are grouped per shard, original order kept.
+  std::vector<std::vector<size_t>> by_shard(backends_.size());
   for (size_t i = 0; i < requests.size(); ++i) {
     if (options_.fault_injector) {
       Status injected = options_.fault_injector->Inject(FaultSite::kRoute);
@@ -158,7 +156,8 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
   // Gather: one task per shard with work. Each request's deadline spans
   // the whole gather — time lost before its shard dispatches (e.g. an
   // injected gather delay) is charged against it, so an expired request
-  // is dropped HERE instead of burning a solve it can no longer use.
+  // is dropped HERE instead of burning a solve it can no longer use,
+  // with the same message on every transport.
   Timer gather_timer;
   auto run_shard = [&](size_t shard) {
     if (options_.fault_injector) {
@@ -191,7 +190,7 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
     }
     if (sub.empty()) return;
     std::vector<Result<SelectResponse>> sub_responses =
-        engines_[shard]->SelectBatch(sub);
+        backends_[shard]->SelectBatch(sub);
     for (size_t j = 0; j < sub_index.size(); ++j) {
       slots[sub_index[j]] = std::move(sub_responses[j]);
     }
@@ -219,76 +218,75 @@ std::vector<Result<SelectResponse>> ShardRouter::SelectBatch(
   return responses;
 }
 
-Status ShardRouter::SwapShardCorpus(
-    size_t shard_id, std::shared_ptr<const IndexedCorpus> full_corpus) {
-  if (shard_id >= engines_.size()) {
-    return Status::InvalidArgument("no shard " + std::to_string(shard_id));
-  }
-  if (full_corpus == nullptr) {
-    return Status::InvalidArgument("SwapShardCorpus requires a corpus");
+Status ShardRouter::PublishToShard(
+    size_t shard_id, const std::string& counter,
+    const std::function<Status(SelectionEngine*)>& op) {
+  SelectionEngine* engine = backends_[shard_id]->local_engine();
+  if (engine == nullptr) {
+    return Status::NotImplemented("shard " + std::to_string(shard_id) + " (" +
+                                 backends_[shard_id]->name() +
+                                 ") has no local engine to publish to");
   }
   std::lock_guard<std::mutex> lock(admin_mutex_);
   // The shard goes kSwapping for the duration: its range answers
-  // kUnavailable instead of mixing snapshots mid-extraction. On any
+  // kUnavailable instead of mixing snapshots mid-publication. On any
   // failure the previous state (and the engine's previous snapshot)
   // are kept.
   int previous =
       states_[shard_id].exchange(static_cast<int>(ShardState::kSwapping),
                                  std::memory_order_acq_rel);
-
-  Result<std::shared_ptr<const IndexedCorpus>> shard_corpus =
-      engines_.size() == 1
-          ? Result<std::shared_ptr<const IndexedCorpus>>(
-                std::move(full_corpus))
-          : CorpusPartitioner::ExtractShard(*full_corpus, bounds_, shard_id);
-  Status status = shard_corpus.ok()
-                      ? engines_[shard_id]->SwapCorpus(
-                            std::move(shard_corpus).value())
-                      : shard_corpus.status();
+  Status status = op(engine);
   if (!status.ok()) {
     states_[shard_id].store(previous, std::memory_order_release);
-    metrics_.counter("router.shard_swap_failures").Increment();
+    metrics_.counter(counter + "_failures").Increment();
     return status;
   }
-  // A successful swap always leaves the shard serving — swapping a
-  // fresh catalog into a kDown shard is how it is revived.
+  // A successful publication always leaves the shard serving — swapping
+  // a fresh catalog into a kDown shard is how it is revived.
   states_[shard_id].store(static_cast<int>(ShardState::kServing),
                           std::memory_order_release);
-  metrics_.counter("router.shard_swaps").Increment();
+  metrics_.counter(counter + "s").Increment();
   return Status::OK();
+}
+
+Status ShardRouter::SwapShardCorpus(
+    size_t shard_id, std::shared_ptr<const IndexedCorpus> full_corpus) {
+  if (shard_id >= backends_.size()) {
+    return Status::InvalidArgument("no shard " + std::to_string(shard_id));
+  }
+  if (full_corpus == nullptr) {
+    return Status::InvalidArgument("SwapShardCorpus requires a corpus");
+  }
+  return PublishToShard(
+      shard_id, "router.shard_swap", [&](SelectionEngine* engine) -> Status {
+        if (backends_.size() == 1) {
+          return engine->SwapCorpus(std::move(full_corpus));
+        }
+        COMPARESETS_ASSIGN_OR_RETURN(
+            auto shard_corpus,
+            CorpusPartitioner::ExtractShard(*full_corpus, bounds_, shard_id));
+        return engine->SwapCorpus(std::move(shard_corpus));
+      });
 }
 
 Status ShardRouter::ApplyShardDelta(
     size_t shard_id, std::shared_ptr<const IndexedCorpus> snapshot,
     size_t reviews_added) {
-  if (shard_id >= engines_.size()) {
+  if (shard_id >= backends_.size()) {
     return Status::InvalidArgument("no shard " + std::to_string(shard_id));
   }
   if (snapshot == nullptr) {
     return Status::InvalidArgument("ApplyShardDelta requires a snapshot");
   }
-  std::lock_guard<std::mutex> lock(admin_mutex_);
-  // Same state machine as SwapShardCorpus: the shard answers
-  // kUnavailable for the (brief) publication window, and a failed apply
-  // keeps the previous state and snapshot.
-  int previous =
-      states_[shard_id].exchange(static_cast<int>(ShardState::kSwapping),
-                                 std::memory_order_acq_rel);
-  Status status =
-      engines_[shard_id]->ApplyCorpusDelta(std::move(snapshot), reviews_added);
-  if (!status.ok()) {
-    states_[shard_id].store(previous, std::memory_order_release);
-    metrics_.counter("router.shard_delta_failures").Increment();
-    return status;
-  }
-  states_[shard_id].store(static_cast<int>(ShardState::kServing),
-                          std::memory_order_release);
-  metrics_.counter("router.shard_deltas").Increment();
-  return Status::OK();
+  return PublishToShard(shard_id, "router.shard_delta",
+                        [&](SelectionEngine* engine) {
+                          return engine->ApplyCorpusDelta(std::move(snapshot),
+                                                          reviews_added);
+                        });
 }
 
 Status ShardRouter::SetShardState(size_t shard_id, ShardState state) {
-  if (shard_id >= engines_.size()) {
+  if (shard_id >= backends_.size()) {
     return Status::InvalidArgument("no shard " + std::to_string(shard_id));
   }
   if (state == ShardState::kSwapping) {
@@ -301,22 +299,58 @@ Status ShardRouter::SetShardState(size_t shard_id, ShardState state) {
   return Status::OK();
 }
 
+RequestPipeline* ShardRouter::pipeline() const {
+  SelectionEngine* engine = backends_[0]->local_engine();
+  return engine == nullptr ? nullptr : engine->pipeline();
+}
+
 std::vector<ShardStatus> ShardRouter::ShardStatuses() const {
   std::vector<ShardStatus> statuses;
-  statuses.reserve(engines_.size());
-  for (size_t s = 0; s < engines_.size(); ++s) {
+  statuses.reserve(backends_.size());
+  for (size_t s = 0; s < backends_.size(); ++s) {
     ShardStatus status;
     status.shard_id = s;
-    status.state = static_cast<ShardState>(
-        states_[s].load(std::memory_order_acquire));
+    status.state = StateOf(s);
     status.range = RangeOf(s);
-    status.corpus_epoch = engines_[s]->corpus_epoch();
-    std::shared_ptr<const IndexedCorpus> snapshot = engines_[s]->corpus();
-    status.num_instances = snapshot->num_instances();
-    status.num_products = snapshot->corpus().num_products();
+    Result<ShardHealth> health = backends_[s]->Probe();
+    if (health.ok()) {
+      status.corpus_epoch = health.value().corpus_epoch;
+      status.num_instances = health.value().num_instances;
+      status.num_products = health.value().num_products;
+    }
     statuses.push_back(std::move(status));
   }
   return statuses;
+}
+
+std::vector<Result<ShardHealth>> ShardRouter::ProbeAll() const {
+  std::vector<Result<ShardHealth>> health;
+  health.reserve(backends_.size());
+  for (const auto& backend : backends_) {
+    health.push_back(backend->Probe());
+  }
+  return health;
+}
+
+Status ShardRouter::WaitReady(double timeout_seconds) const {
+  Timer timer;
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    for (;;) {
+      Result<ShardHealth> health = backends_[s]->Probe();
+      if (health.ok() && health.value().ready) break;
+      if (timer.ElapsedSeconds() >= timeout_seconds) {
+        Status last = health.ok()
+                          ? Status::Unavailable("shard not ready, state=" +
+                                                health.value().state)
+                          : health.status();
+        return Status::Timeout("shard " + std::to_string(s) + " (" +
+                               backends_[s]->name() + ") not ready: " +
+                               last.ToString());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -383,28 +417,30 @@ std::string DumpSnapshot(const MetricsSnapshot& snapshot) {
 }  // namespace
 
 std::string ShardRouter::DumpMetrics() const {
-  std::vector<MetricsSnapshot> shards;
-  shards.reserve(engines_.size());
-  for (const auto& engine : engines_) {
-    shards.push_back(engine->SnapshotMetrics());
+  std::vector<size_t> local_shards;
+  std::vector<MetricsSnapshot> snapshots;
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    if (SelectionEngine* engine = backends_[s]->local_engine()) {
+      local_shards.push_back(s);
+      snapshots.push_back(engine->SnapshotMetrics());
+    }
   }
   // Router counters first, then the cross-shard rollup in the same
   // format a single engine dumps — so consumers of the unsharded dump
   // (scripts grepping "counter engine.requests") read the same lines.
   std::string out = metrics_.Dump();
-  out += DumpSnapshot(RollupSnapshots(shards));
-  if (engines_.size() > 1) {
-    for (size_t s = 0; s < engines_.size(); ++s) {
+  out += DumpSnapshot(RollupSnapshots(snapshots));
+  if (backends_.size() > 1) {
+    for (size_t k = 0; k < local_shards.size(); ++k) {
+      size_t s = local_shards[k];
       char header[128];
       std::snprintf(header, sizeof(header),
                     "--- shard %zu %s state=%s epoch=%llu ---\n", s,
-                    RangeOf(s).ToString().c_str(),
-                    ShardStateName(static_cast<ShardState>(
-                        states_[s].load(std::memory_order_acquire))),
+                    RangeOf(s).ToString().c_str(), ShardStateName(StateOf(s)),
                     static_cast<unsigned long long>(
-                        engines_[s]->corpus_epoch()));
+                        backends_[s]->local_engine()->corpus_epoch()));
       out += header;
-      out += DumpSnapshot(shards[s]);
+      out += DumpSnapshot(snapshots[k]);
     }
   }
   return out;
@@ -412,24 +448,32 @@ std::string ShardRouter::DumpMetrics() const {
 
 std::string ShardRouter::RenderPrometheus() const {
   std::vector<std::pair<std::string, MetricsSnapshot>> labeled;
-  labeled.reserve(engines_.size() + 1);
+  labeled.reserve(backends_.size() + 1);
   labeled.emplace_back(std::string(), metrics_.Snapshot());
-  for (size_t s = 0; s < engines_.size(); ++s) {
-    labeled.emplace_back("shard=\"" + std::to_string(s) + "\"",
-                         engines_[s]->SnapshotMetrics());
+  for (size_t s = 0; s < backends_.size(); ++s) {
+    if (SelectionEngine* engine = backends_[s]->local_engine()) {
+      labeled.emplace_back("shard=\"" + std::to_string(s) + "\"",
+                           engine->SnapshotMetrics());
+    }
   }
   return MetricsRegistry::RenderPrometheus(labeled);
 }
 
 std::string ShardRouter::DumpTraces() const {
   std::string out;
-  for (const auto& engine : engines_) out += engine->DumpTraces();
+  for (const auto& backend : backends_) {
+    if (SelectionEngine* engine = backend->local_engine()) {
+      out += engine->DumpTraces();
+    }
+  }
   return out;
 }
 
 std::vector<RequestTrace> ShardRouter::Traces() const {
   std::vector<RequestTrace> traces;
-  for (const auto& engine : engines_) {
+  for (const auto& backend : backends_) {
+    SelectionEngine* engine = backend->local_engine();
+    if (engine == nullptr) continue;
     std::vector<RequestTrace> shard_traces = engine->Traces();
     traces.insert(traces.end(),
                   std::make_move_iterator(shard_traces.begin()),

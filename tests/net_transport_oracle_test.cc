@@ -1,5 +1,5 @@
 // The transport oracle: the RPC serving path must be a bitwise no-op.
-// For N ∈ {1, 2, 4} shards, an RpcShardRouter talking to real
+// For N ∈ {1, 2, 4} shards, a ShardRouter over RPC backends talking to real
 // ShardServer processes-worth of state over Unix sockets must answer
 // byte-identically — full payload, cache flags, and Status (code AND
 // message) — to the in-process ShardRouter AND to one SelectionEngine
@@ -25,7 +25,6 @@
 #include "net/server.h"
 #include "service/backend.h"
 #include "service/router.h"
-#include "service/rpc_router.h"
 
 namespace comparesets {
 namespace {
@@ -116,11 +115,11 @@ std::vector<SelectRequest> MixedStream(const IndexedCorpus& corpus) {
   return requests;
 }
 
-/// A fleet of shard servers over Unix sockets plus an RpcShardRouter
-/// fronting them — the whole RPC stack, minus fork/exec.
+/// A fleet of shard servers over Unix sockets plus a ShardRouter of
+/// RpcShardBackends fronting them — the whole RPC stack, minus fork/exec.
 struct RpcFixture {
   std::vector<std::unique_ptr<ShardServer>> servers;
-  std::unique_ptr<RpcShardRouter> router;
+  std::unique_ptr<ShardRouter> router;
   /// Borrowed pointers into router's backends, for stats.
   std::vector<RpcShardBackend*> rpc_backends;
 
@@ -132,8 +131,8 @@ struct RpcFixture {
   }
 };
 
-/// Builds one server per shard (range slices of `corpus`), then an
-/// RpcShardRouter of RpcShardBackends pointing at them.
+/// Builds one server per shard (range slices of `corpus`), then a
+/// ShardRouter of RpcShardBackends pointing at them.
 std::unique_ptr<RpcFixture> StartFleet(
     std::shared_ptr<const IndexedCorpus> corpus, size_t num_shards,
     const EngineOptions& engine_options, const std::string& socket_tag,
@@ -165,10 +164,10 @@ std::unique_ptr<RpcFixture> StartFleet(
     fixture->servers.push_back(std::move(server).value());
   }
 
-  RpcRouterOptions router_options;
+  RouterOptions router_options;
   router_options.router_threads = 1;
   router_options.fault_injector = std::move(router_faults);
-  auto router = RpcShardRouter::Create(
+  auto router = ShardRouter::Create(
       std::move(local).value().bounds, std::move(rpc_backends), router_options);
   router.status().CheckOK();
   fixture->router = std::move(router).value();
@@ -340,6 +339,63 @@ TEST_P(TransportOracleTest, MidGatherDeadlineExpiryIsCanonicalOnBothPaths) {
   // The scenario is only meaningful if the canonical expiry actually
   // fired; with a 50 ms sleep against a 5 ms budget it always does.
   EXPECT_GT(expired, 0u);
+}
+
+TEST_P(TransportOracleTest, RemoteShardsTakeRouterStateButRefuseAdmin) {
+  const size_t num_shards = GetParam();
+  if (num_shards < 2) {
+    GTEST_SKIP() << "needs >= 2 shards to tell one range from the rest";
+  }
+  auto corpus = MakeCorpus(60);
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  auto fleet = StartFleet(corpus, num_shards, engine_options,
+                          "admin" + std::to_string(num_shards));
+  ShardRouter& router = *fleet->router;
+
+  std::vector<SelectRequest> one_per_shard(num_shards);
+  for (const ProblemInstance& instance : corpus->instances()) {
+    SelectRequest& request =
+        one_per_shard[router.ShardForTarget(instance.target().id)];
+    if (request.target_id.empty()) request.target_id = instance.target().id;
+  }
+  for (const SelectRequest& request : one_per_shard) {
+    ASSERT_FALSE(request.target_id.empty());
+  }
+
+  // Swap and delta publication need the engine in this process; a
+  // remote shard refuses both without leaving the serving state.
+  EXPECT_EQ(router.SwapShardCorpus(0, corpus).code(),
+            StatusCode::kNotImplemented);
+  EXPECT_EQ(router.ApplyShardDelta(0, corpus, 1).code(),
+            StatusCode::kNotImplemented);
+  for (const ShardStatus& status : router.ShardStatuses()) {
+    EXPECT_EQ(status.state, ShardState::kServing) << status.shard_id;
+  }
+  EXPECT_TRUE(router.Select(one_per_shard[0]).ok());
+
+  // Shard state is router-side, so it works on every transport: a down
+  // shard refuses exactly its own range.
+  const size_t down = 1;
+  ASSERT_TRUE(router.SetShardState(down, ShardState::kDown).ok());
+  std::vector<Result<SelectResponse>> responses =
+      router.SelectBatch(one_per_shard);
+  ASSERT_EQ(responses.size(), num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (s == down) {
+      ASSERT_FALSE(responses[s].ok());
+      EXPECT_EQ(responses[s].status().code(), StatusCode::kUnavailable);
+      EXPECT_NE(responses[s].status().message().find("shard 1 "),
+                std::string::npos)
+          << responses[s].status();
+    } else {
+      EXPECT_TRUE(responses[s].ok()) << s << ": " << responses[s].status();
+    }
+  }
+  EXPECT_EQ(router.Select(one_per_shard[down]).status().code(),
+            StatusCode::kUnavailable);
+  ASSERT_TRUE(router.SetShardState(down, ShardState::kServing).ok());
+  EXPECT_TRUE(router.Select(one_per_shard[down]).ok());
 }
 
 TEST(TransportHedgingTest, HedgedSelectsMatchAndLeaveNoResidue) {

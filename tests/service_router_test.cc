@@ -67,6 +67,46 @@ TEST(ShardRouterTest, EveryTargetMapsToExactlyTheShardOwningItsRange) {
   }
 }
 
+TEST(ShardRouterTest, BothConstructorsCarryTheBatchQueueBudget) {
+  auto full = MakeCorpus(60);
+  RouterOptions options;
+  options.engine.threads = 1;
+  options.engine.max_batch_queue = 3;
+  auto from_corpus = MakeRouter(full, 2, options);
+  EXPECT_EQ(from_corpus->pipeline()->options().max_batch_queue, 3u);
+
+  auto local = CreateLocalBackends(full, 2, options.engine);
+  ASSERT_TRUE(local.ok()) << local.status();
+  auto from_backends =
+      ShardRouter::Create(std::move(local.value().bounds),
+                          std::move(local.value().backends), options);
+  ASSERT_TRUE(from_backends.ok()) << from_backends.status();
+  EXPECT_EQ(from_backends.value()->pipeline()->options().max_batch_queue, 3u);
+}
+
+TEST(ShardRouterTest, BackendSetCreateValidatesBoundsAndBackends) {
+  auto full = MakeCorpus(60);
+  EngineOptions engine_options;
+  engine_options.threads = 1;
+  // Real backends of a 3-way partition, trimmed to `num_backends` or
+  // padded with nullptr.
+  auto make = [&](std::vector<std::string> bounds, size_t num_backends) {
+    auto local = CreateLocalBackends(full, 3, engine_options);
+    local.status().CheckOK();
+    local.value().backends.resize(num_backends);
+    return ShardRouter::Create(std::move(bounds),
+                               std::move(local.value().backends))
+        .status()
+        .code();
+  };
+  EXPECT_EQ(make({}, 0), StatusCode::kInvalidArgument);
+  EXPECT_EQ(make({""}, 2), StatusCode::kInvalidArgument);  // Count mismatch.
+  EXPECT_EQ(make({"a", "b"}, 2), StatusCode::kInvalidArgument);  // No origin.
+  EXPECT_EQ(make({"", "z", "m"}, 3), StatusCode::kInvalidArgument);  // Order.
+  EXPECT_EQ(make({"", "m", "z", "zz"}, 4), StatusCode::kInvalidArgument);
+  EXPECT_EQ(make({"", "m"}, 2), StatusCode::kOk);
+}
+
 TEST(ShardRouterTest, UnknownTargetFailsLikeASingleEngine) {
   auto full = MakeCorpus(60);
   auto router = MakeRouter(full, 2);

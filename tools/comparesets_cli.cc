@@ -27,10 +27,10 @@
 // --transport rpc moves each shard into its own shard_server process:
 // the CLI spawns one child per shard on private Unix sockets (or, with
 // --connect, dials an already-running fleet), waits for every shard's
-// readiness probe, routes the same queries through an RpcShardRouter,
-// and asks each spawned child to shut down when done. Responses are
-// byte-identical to --transport local — the transport-oracle CI job
-// holds the two paths to the same output.
+// readiness probe, routes the same queries through the same ShardRouter
+// over RPC backends, and asks each spawned child to shut down when
+// done. Responses are byte-identical to --transport local — the
+// transport-oracle CI job holds the two paths to the same output.
 //
 // --ingest_log tails a review WAL (service/ingest) on the local
 // transport: committed records are drained into per-shard delta
@@ -64,7 +64,6 @@
 #include "service/ingest/driver.h"
 #include "service/partitioner.h"
 #include "service/router.h"
-#include "service/rpc_router.h"
 #include "service/slo_controller.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -419,31 +418,94 @@ pid_t SpawnShardServer(const std::string& binary, const FlagParser& flags,
   _exit(127);
 }
 
-// Reaps spawned shard servers: polite shutdown frame first, SIGTERM for
-// any child that does not comply, then waitpid on everyone.
-void TearDownFleet(const std::vector<pid_t>& pids,
-                   const std::vector<std::string>& addresses) {
-  for (size_t i = 0; i < pids.size(); ++i) {
-    Status stopped = RequestServerShutdown(addresses[i], 5.0);
-    if (!stopped.ok()) {
-      std::fprintf(stderr, "shard %zu shutdown handshake failed (%s); "
-                   "sending SIGTERM\n",
-                   i, stopped.ToString().c_str());
-      kill(pids[i], SIGTERM);
+// Shard servers `serve --transport rpc` forked, reaped when serve
+// returns: polite shutdown frame first, SIGTERM for any child that does
+// not comply, then waitpid on everyone.
+struct SpawnedFleet {
+  std::vector<pid_t> pids;
+  std::vector<std::string> addresses;
+  ~SpawnedFleet() {
+    for (size_t i = 0; i < pids.size(); ++i) {
+      Status stopped = RequestServerShutdown(addresses[i], 5.0);
+      if (!stopped.ok()) {
+        std::fprintf(stderr, "shard %zu shutdown handshake failed (%s); "
+                     "sending SIGTERM\n",
+                     i, stopped.ToString().c_str());
+        kill(pids[i], SIGTERM);
+      }
+    }
+    for (pid_t pid : pids) {
+      int wait_status = 0;
+      waitpid(pid, &wait_status, 0);
     }
   }
-  for (pid_t pid : pids) {
-    int wait_status = 0;
-    waitpid(pid, &wait_status, 0);
+};
+
+// One RpcShardBackend per shard, dialing the --connect fleet or
+// shard_server children spawned into `fleet`, each waited on until
+// ready. Returns 0, or 2 after reporting a fleet it cannot use.
+int ConnectRpcBackends(const FlagParser& flags, const std::string& program_dir,
+                       size_t num_shards, SpawnedFleet* fleet,
+                       std::vector<std::unique_ptr<ShardBackend>>* backends) {
+  std::vector<std::string> addresses;
+  const std::string& connect = flags.GetString("connect");
+  if (!connect.empty()) {
+    addresses = Split(connect, ',');
+    if (addresses.size() != num_shards) {
+      std::fprintf(stderr, "--connect lists %zu addresses for %zu shards\n",
+                   addresses.size(), num_shards);
+      return 2;
+    }
+  } else {
+    std::string binary = flags.GetString("shard_server");
+    if (binary.empty()) binary = program_dir + "shard_server";
+    for (size_t s = 0; s < num_shards; ++s) {
+      fleet->addresses.push_back("unix:/tmp/csrp-" + std::to_string(getpid()) +
+                                 "-" + std::to_string(s) + ".sock");
+      fleet->pids.push_back(SpawnShardServer(
+          binary, flags, static_cast<int>(num_shards), static_cast<int>(s),
+          fleet->addresses[s]));
+    }
+    addresses = fleet->addresses;
   }
+
+  double ready_timeout = flags.GetDouble("ready_timeout");
+  for (size_t s = 0; s < num_shards; ++s) {
+    Status ready = WaitForServerReady(addresses[s], ready_timeout);
+    if (!ready.ok()) {
+      std::fprintf(stderr, "shard %zu at %s never became ready: %s\n", s,
+                   addresses[s].c_str(), ready.ToString().c_str());
+      return 2;
+    }
+    RpcBackendOptions backend_options;
+    backend_options.replicas = {addresses[s]};
+    backend_options.shard_id = s;
+    auto backend = RpcShardBackend::Create(std::move(backend_options));
+    backend.status().CheckOK();
+    backends->push_back(std::move(backend).value());
+  }
+  return 0;
 }
 
-int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
+int RunServe(const FlagParser& flags, const std::string& program_dir) {
+  RequestPriority batch_priority = RequestPriority::kBatch;
+  if (!ParseRequestPriority(flags.GetString("batch_priority"),
+                            &batch_priority)) {
+    std::fprintf(stderr, "--batch_priority must be interactive or batch\n");
+    return 2;
+  }
+  const std::string& transport = flags.GetString("transport");
+  if (transport != "local" && transport != "rpc") {
+    std::fprintf(stderr, "--transport must be local or rpc\n");
+    return 2;
+  }
+  const bool rpc = transport == "rpc";
+  const std::string& ingest_log = flags.GetString("ingest_log");
   // Refused up front, before any child is spawned or query answered:
   // the delta builder lives in the serving process, so accepting the
   // flag here would silently serve the stale base corpus — the exact
   // failure mode the WAL exists to prevent.
-  if (!flags.GetString("ingest_log").empty()) {
+  if (rpc && !ingest_log.empty()) {
     Status refused = Status::InvalidArgument(
         "--ingest_log is not available over --transport rpc (the delta "
         "builder lives in the serving process); run --transport local, "
@@ -458,67 +520,48 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
   }
   size_t num_shards = static_cast<size_t>(shards_flag);
 
-  // The router side derives the partition bounds from the same data the
-  // servers load — CorpusPartitioner is deterministic, so both sides of
-  // the wire agree on the ranges without shipping the corpus.
   auto corpus = LoadData(flags);
   corpus.status().CheckOK();
+  // The ingestion driver's delta builder needs its own copy of the base
+  // corpus (the identical one the router's snapshots are built from) —
+  // take it before the move into the index build.
+  Corpus ingest_base;
+  if (!ingest_log.empty()) ingest_base = corpus.value();
   auto indexed = IndexedCorpus::Build(std::move(corpus).value());
   indexed.status().CheckOK();
-  auto bounds = CorpusPartitioner::ComputeBounds(*indexed.value(), num_shards);
-  bounds.status().CheckOK();
 
-  std::vector<std::string> addresses;
-  std::vector<pid_t> pids;
-  const std::string& connect = flags.GetString("connect");
-  if (!connect.empty()) {
-    addresses = Split(connect, ',');
-    if (addresses.size() != num_shards) {
-      std::fprintf(stderr, "--connect lists %zu addresses for %zu shards\n",
-                   addresses.size(), num_shards);
-      return 2;
-    }
-  } else {
-    std::string binary = flags.GetString("shard_server");
-    if (binary.empty()) binary = program_dir + "shard_server";
-    for (size_t s = 0; s < num_shards; ++s) {
-      addresses.push_back("unix:/tmp/csrp-" + std::to_string(getpid()) + "-" +
-                          std::to_string(s) + ".sock");
-      pids.push_back(SpawnShardServer(binary, flags, shards_flag,
-                                      static_cast<int>(s), addresses[s]));
-    }
-  }
+  RouterOptions router_options;
+  FillEngineOptions(flags, &router_options.engine);
+  router_options.router_threads = router_options.engine.threads;
 
-  double ready_timeout = flags.GetDouble("ready_timeout");
-  for (size_t s = 0; s < num_shards; ++s) {
-    Status ready = WaitForServerReady(addresses[s], ready_timeout);
-    if (!ready.ok()) {
-      std::fprintf(stderr, "shard %zu at %s never became ready: %s\n", s,
-                   addresses[s].c_str(), ready.ToString().c_str());
-      if (!pids.empty()) TearDownFleet(pids, addresses);
-      return 2;
-    }
-  }
-
+  // The transports differ only in the backends the one router fronts.
+  // Over RPC the router derives the partition bounds from the same data
+  // the servers load — CorpusPartitioner is deterministic, so both
+  // sides of the wire agree on the ranges without shipping the corpus.
+  // The fleet is declared first so the router (and its pooled
+  // connections) goes away before the servers are shut down.
+  SpawnedFleet fleet;
+  std::vector<std::string> bounds;
   std::vector<std::unique_ptr<ShardBackend>> backends;
-  backends.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    RpcBackendOptions backend_options;
-    backend_options.replicas = {addresses[s]};
-    backend_options.shard_id = s;
-    auto backend = RpcShardBackend::Create(std::move(backend_options));
-    backend.status().CheckOK();
-    backends.push_back(std::move(backend).value());
+  if (rpc) {
+    auto computed =
+        CorpusPartitioner::ComputeBounds(*indexed.value(), num_shards);
+    computed.status().CheckOK();
+    bounds = std::move(computed).value();
+    int rc = ConnectRpcBackends(flags, program_dir, num_shards, &fleet,
+                                &backends);
+    if (rc != 0) return rc;
+  } else {
+    auto local =
+        CreateLocalBackends(indexed.value(), num_shards, router_options.engine);
+    local.status().CheckOK();
+    bounds = std::move(local.value().bounds);
+    backends = std::move(local.value().backends);
   }
-  RpcRouterOptions rpc_options;
-  rpc_options.router_threads = static_cast<size_t>(flags.GetInt("threads"));
-  auto router = RpcShardRouter::Create(bounds.value(), std::move(backends),
-                                       rpc_options);
+  auto router = ShardRouter::Create(std::move(bounds), std::move(backends),
+                                    router_options);
   router.status().CheckOK();
-
   if (num_shards > 1) {
-    // Same per-shard header lines the local transport prints, fed from
-    // the remote readiness probes.
     std::vector<Result<ShardHealth>> health = router.value()->ProbeAll();
     for (size_t s = 0; s < health.size(); ++s) {
       health[s].status().CheckOK();
@@ -529,85 +572,16 @@ int RunServeRpc(const FlagParser& flags, const std::string& program_dir) {
     }
   }
 
-  std::vector<SelectRequest> requests;
-  int read_rc = ReadServeRequests(flags, &requests);
-  if (read_rc != 0) {
-    if (!pids.empty()) TearDownFleet(pids, addresses);
-    return read_rc;
-  }
-  if (requests.empty()) {
-    std::printf("No queries.\n");
-    if (!pids.empty()) TearDownFleet(pids, addresses);
-    return 0;
-  }
-
-  std::vector<Result<SelectResponse>> responses =
-      router.value()->SelectBatch(requests);
-  size_t failed = PrintServeResponses(requests, responses, num_shards);
-
-  if (flags.GetBool("metrics") || flags.GetBool("prometheus") ||
-      flags.GetInt("metrics_port") >= 0 ||
-      !flags.GetString("trace_out").empty()) {
-    std::fprintf(stderr,
-                 "--metrics/--prometheus/--metrics_port/--trace_out are not "
-                 "available over --transport rpc (remote registries)\n");
-  }
-  if (!pids.empty()) TearDownFleet(pids, addresses);
-  return failed == 0 ? 0 : 1;
-}
-
-int RunServe(const FlagParser& flags, const std::string& program_dir) {
-  RequestPriority batch_priority = RequestPriority::kBatch;
-  if (!ParseRequestPriority(flags.GetString("batch_priority"),
-                            &batch_priority)) {
-    std::fprintf(stderr, "--batch_priority must be interactive or batch\n");
-    return 2;
-  }
-  const std::string& transport = flags.GetString("transport");
-  if (transport == "rpc") return RunServeRpc(flags, program_dir);
-  if (transport != "local") {
-    std::fprintf(stderr, "--transport must be local or rpc\n");
-    return 2;
-  }
-
-  auto corpus = LoadData(flags);
-  corpus.status().CheckOK();
-  // The ingestion driver's delta builder needs its own copy of the base
-  // corpus (the identical one the router's snapshots are built from) —
-  // take it before the move into the index build.
-  const std::string& ingest_log = flags.GetString("ingest_log");
-  Corpus ingest_base;
-  if (!ingest_log.empty()) ingest_base = corpus.value();
-  auto indexed = IndexedCorpus::Build(std::move(corpus).value());
-  indexed.status().CheckOK();
-
-  RouterOptions router_options;
-  FillEngineOptions(flags, &router_options.engine);
-  router_options.router_threads = router_options.engine.threads;
-
-  int shards_flag = flags.GetInt("shards");
-  if (shards_flag < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  auto router = ShardRouter::Create(indexed.value(),
-                                    static_cast<size_t>(shards_flag),
-                                    router_options);
-  router.status().CheckOK();
-  if (router.value()->num_shards() > 1) {
-    for (const ShardStatus& status : router.value()->ShardStatuses()) {
-      std::printf("shard %zu %s: %zu instances, %zu products\n",
-                  status.shard_id, status.range.ToString().c_str(),
-                  status.num_instances, status.num_products);
-    }
-  }
-
+  // Metrics, traces and the SLO loop read the shard engines' registries,
+  // which live in this process only on the local transport (a spawned
+  // shard_server runs its own SLO loop from --slo_ms).
+  //
   // The Prometheus endpoint comes up before any query is answered, so
   // an external scraper can watch a long batch live; the endpoint is
   // self-scraped once after the batch as an end-to-end check.
   MetricsHttpServer metrics_http;
   int metrics_port = flags.GetInt("metrics_port");
-  if (metrics_port >= 0) {
+  if (!rpc && metrics_port >= 0) {
     ShardRouter* router_ptr = router.value().get();
     Status started = metrics_http.Start(
         metrics_port, [router_ptr] { return router_ptr->RenderPrometheus(); });
@@ -621,7 +595,7 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
   // alongside the batch without perturbing determinism.
   std::unique_ptr<SloController> slo;
   double slo_ms = flags.GetDouble("slo_ms");
-  if (slo_ms > 0.0) {
+  if (!rpc && slo_ms > 0.0) {
     SloControllerOptions slo_options;
     slo_options.slo_seconds = slo_ms / 1000.0;
     std::vector<SelectionEngine*> engines;
@@ -670,8 +644,16 @@ int RunServe(const FlagParser& flags, const std::string& program_dir) {
   std::vector<Result<SelectResponse>> responses =
       router.value()->SelectBatch(requests);
   if (slo != nullptr) slo->Stop();
-  size_t failed = PrintServeResponses(requests, responses,
-                                      router.value()->num_shards());
+  size_t failed = PrintServeResponses(requests, responses, num_shards);
+  if (rpc) {
+    if (flags.GetBool("metrics") || flags.GetBool("prometheus") ||
+        metrics_port >= 0 || !flags.GetString("trace_out").empty()) {
+      std::fprintf(stderr,
+                   "--metrics/--prometheus/--metrics_port/--trace_out are "
+                   "not available over --transport rpc (remote registries)\n");
+    }
+    return failed == 0 ? 0 : 1;
+  }
   if (slo != nullptr) {
     SloSample final_sample = slo->TickOnce();
     std::printf(
