@@ -251,6 +251,24 @@ void BM_RougePair(benchmark::State& state) {
 }
 BENCHMARK(BM_RougePair);
 
+// The alignment pass's per-pair kernel: both directions of the pair from
+// one set of integer counts (merge-intersected n-grams, bit-parallel
+// LCS against the outer review's mask table, loaded once). The string
+// reference above scores ONE direction, so it costs twice per pair.
+void BM_RougePairInterned(benchmark::State& state) {
+  const Product& product = *BenchWorkload().instances()[0].items[0];
+  TokenVocabulary vocabulary;
+  InternedDocument a(product.reviews[0].text, &vocabulary);
+  InternedDocument b(product.reviews[1].text, &vocabulary);
+  BitParallelLcs lcs(vocabulary.size(), a.ids.size());
+  lcs.SetPattern(a.ids);
+  for (auto _ : state) {
+    RougeTriple scores = SymmetricRouge(a, b, &lcs);
+    benchmark::DoNotOptimize(scores);
+  }
+}
+BENCHMARK(BM_RougePairInterned);
+
 void BM_RougeDocumentConstruction(benchmark::State& state) {
   const Product& product = *BenchWorkload().instances()[0].items[0];
   const std::string& text = product.reviews[0].text;

@@ -1,5 +1,6 @@
 #include "eval/alignment.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "util/logging.h"
@@ -8,35 +9,26 @@ namespace comparesets {
 
 namespace {
 
-RougeTriple MeanF1(const std::vector<RougeTriple>& scores) {
-  RougeTriple mean;
-  if (scores.empty()) return mean;
-  for (const RougeTriple& s : scores) mean += s;
-  mean /= static_cast<double>(scores.size());
-  return mean;
+RougeTriple Mean(RougeTriple sum, size_t count) {
+  if (count > 0) sum /= static_cast<double>(count);
+  return sum;
 }
 
-/// Symmetrized pair score: averaging F1(a→b) and F1(b→a). F1 of ROUGE-1/L
-/// is already symmetric; ROUGE-2 likewise; the average keeps this robust
-/// to any asymmetric variant added later.
-RougeTriple PairScore(const RougeDocument& a, const RougeDocument& b) {
-  RougeTriple forward = a.ScoreAgainst(b);
-  RougeTriple backward = b.ScoreAgainst(a);
-  forward += backward;
-  forward /= 2.0;
-  return forward;
-}
-
-}  // namespace
-
-AlignmentScores MeasureAlignmentSubset(const ProblemInstance& instance,
-                                       const std::vector<Selection>& selections,
-                                       const std::vector<size_t>& items) {
+/// Tokenizes and interns every selected review once, into a vocabulary
+/// private to this call (engine threads align concurrently), then scores
+/// each cross-item pair once. Pairs are visited — and their scores
+/// summed — in a fixed order (item a < b, then a's reviews, then b's),
+/// because the means are floating-point sums whose bits depend on it.
+Result<AlignmentScores> Measure(const ProblemInstance& instance,
+                                const std::vector<Selection>& selections,
+                                const std::vector<size_t>& items,
+                                const ExecControl* control) {
   COMPARESETS_CHECK(selections.size() == instance.num_items())
       << "selection count mismatch";
 
-  // Pre-tokenize every selected review once.
-  std::vector<std::vector<RougeDocument>> docs(items.size());
+  TokenVocabulary vocabulary;
+  std::vector<std::vector<InternedDocument>> docs(items.size());
+  size_t max_tokens = 0;
   for (size_t t = 0; t < items.size(); ++t) {
     size_t item = items[t];
     COMPARESETS_CHECK(item < instance.num_items()) << "item out of range";
@@ -44,39 +36,63 @@ AlignmentScores MeasureAlignmentSubset(const ProblemInstance& instance,
     for (size_t review_index : selections[item]) {
       COMPARESETS_CHECK(review_index < product.reviews.size())
           << "review index out of range";
-      docs[t].emplace_back(product.reviews[review_index].text);
+      docs[t].emplace_back(product.reviews[review_index].text, &vocabulary);
+      max_tokens = std::max(max_tokens, docs[t].back().ids.size());
     }
   }
 
-  std::vector<RougeTriple> target_scores;
-  std::vector<RougeTriple> among_scores;
+  BitParallelLcs lcs(vocabulary.size(), max_tokens);
+  RougeTriple target_sum;
+  RougeTriple among_sum;
+  AlignmentScores out;
   for (size_t a = 0; a < items.size(); ++a) {
     for (size_t b = a + 1; b < items.size(); ++b) {
-      for (const RougeDocument& da : docs[a]) {
-        for (const RougeDocument& db : docs[b]) {
-          RougeTriple score = PairScore(da, db);
-          among_scores.push_back(score);
-          if (items[a] == 0 || items[b] == 0) {
-            target_scores.push_back(score);
+      if (control != nullptr) {
+        COMPARESETS_RETURN_NOT_OK(CheckLive(*control, "alignment"));
+      }
+      bool target = items[a] == 0 || items[b] == 0;
+      for (const InternedDocument& da : docs[a]) {
+        lcs.SetPattern(da.ids);
+        for (const InternedDocument& db : docs[b]) {
+          RougeTriple score = SymmetricRouge(da, db, &lcs);
+          among_sum += score;
+          ++out.among_pairs;
+          if (target) {
+            target_sum += score;
+            ++out.target_pairs;
           }
         }
       }
     }
   }
-
-  AlignmentScores out;
-  out.target_vs_comparative = MeanF1(target_scores);
-  out.among_items = MeanF1(among_scores);
-  out.target_pairs = target_scores.size();
-  out.among_pairs = among_scores.size();
+  out.target_vs_comparative = Mean(target_sum, out.target_pairs);
+  out.among_items = Mean(among_sum, out.among_pairs);
   return out;
+}
+
+std::vector<size_t> AllItems(const ProblemInstance& instance) {
+  std::vector<size_t> all(instance.num_items());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+}  // namespace
+
+AlignmentScores MeasureAlignmentSubset(const ProblemInstance& instance,
+                                       const std::vector<Selection>& selections,
+                                       const std::vector<size_t>& items) {
+  return Measure(instance, selections, items, nullptr).value();
 }
 
 AlignmentScores MeasureAlignment(const ProblemInstance& instance,
                                  const std::vector<Selection>& selections) {
-  std::vector<size_t> all(instance.num_items());
-  std::iota(all.begin(), all.end(), 0);
-  return MeasureAlignmentSubset(instance, selections, all);
+  return Measure(instance, selections, AllItems(instance), nullptr).value();
+}
+
+Result<AlignmentScores> MeasureAlignment(
+    const ProblemInstance& instance, const std::vector<Selection>& selections,
+    const ExecControl* control) {
+  return Measure(instance, selections, AllItems(instance), control);
 }
 
 }  // namespace comparesets

@@ -4,6 +4,12 @@
 //     (Tables 3a / 6a);
 //   * "Among items": pairs from any two distinct items (Tables 3b / 6b).
 // Reported as mean F1 per pair; 0 when no pair exists.
+//
+// Each call tokenizes the selected reviews once, interns their tokens
+// into a per-call vocabulary, and counts each pair's unigram / bigram
+// overlap (sorted-vector merge) and LCS (bit-parallel) once. The result
+// is bit-identical to averaging RougeDocument::ScoreAgainst in both
+// directions per pair, summed in the same pair order.
 
 #pragma once
 
@@ -12,6 +18,8 @@
 #include "data/corpus.h"
 #include "opinion/vectors.h"
 #include "text/rouge.h"
+#include "util/cancellation.h"
+#include "util/status.h"
 
 namespace comparesets {
 
@@ -25,6 +33,13 @@ struct AlignmentScores {
 /// Measures alignment over all items of the instance.
 AlignmentScores MeasureAlignment(const ProblemInstance& instance,
                                  const std::vector<Selection>& selections);
+
+/// MeasureAlignment under a request's deadline and cancel token, checked
+/// before each pair of items: returns kDeadlineExceeded / kCancelled
+/// instead of finishing the pass.
+Result<AlignmentScores> MeasureAlignment(
+    const ProblemInstance& instance, const std::vector<Selection>& selections,
+    const ExecControl* control);
 
 /// Measures alignment restricted to a subset of item indices (the core
 /// list; must contain item 0 for the target view to be meaningful).

@@ -131,6 +131,7 @@ void EncodeTraceTo(const RequestTrace& trace, WireWriter* writer) {
   writer->WriteDouble(trace.backoff_seconds);
   writer->WriteDouble(trace.prepare_seconds);
   writer->WriteDouble(trace.solve_seconds);
+  writer->WriteDouble(trace.alignment_seconds);  // v5
   writer->WriteDouble(trace.total_seconds);
 }
 
@@ -168,6 +169,7 @@ Status DecodeTraceFrom(WireReader* reader, RequestTrace* trace) {
   COMPARESETS_ASSIGN_OR_RETURN(trace->backoff_seconds, reader->ReadDouble());
   COMPARESETS_ASSIGN_OR_RETURN(trace->prepare_seconds, reader->ReadDouble());
   COMPARESETS_ASSIGN_OR_RETURN(trace->solve_seconds, reader->ReadDouble());
+  COMPARESETS_ASSIGN_OR_RETURN(trace->alignment_seconds, reader->ReadDouble());
   COMPARESETS_ASSIGN_OR_RETURN(trace->total_seconds, reader->ReadDouble());
   return Status::OK();
 }

@@ -48,6 +48,7 @@ std::string RequestTrace::ToJson() const {
   object["backoff_seconds"] = backoff_seconds;
   object["prepare_seconds"] = prepare_seconds;
   object["solve_seconds"] = solve_seconds;
+  object["alignment_seconds"] = alignment_seconds;
   object["total_seconds"] = total_seconds;
   return JsonValue(std::move(object)).Dump();
 }

@@ -109,6 +109,7 @@ struct RequestTrace {
   double backoff_seconds = 0.0;  ///< Total retry backoff slept.
   double prepare_seconds = 0.0;
   double solve_seconds = 0.0;
+  double alignment_seconds = 0.0;///< Pairwise ROUGE (0 when it is off).
   double total_seconds = 0.0;
 
   /// One compact JSON object (a JSONL line, sans newline).

@@ -2,17 +2,6 @@
 
 namespace comparesets {
 
-Status CheckLive(const ExecControl& control, const char* where) {
-  if (control.cancel != nullptr && control.cancel->cancelled()) {
-    return Status::Cancelled(std::string("request cancelled before ") + where);
-  }
-  if (control.deadline != nullptr && control.deadline->Expired()) {
-    return Status::DeadlineExceeded(std::string("deadline exceeded before ") +
-                                    where);
-  }
-  return Status::OK();
-}
-
 RequestPipeline::RequestPipeline(PipelineOptions options)
     : options_(options) {
   batch_queue_limit_.store(configured_batch_queue(),

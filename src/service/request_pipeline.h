@@ -50,11 +50,6 @@ struct PipelineOptions {
   double retry_backoff_seconds = 0.001;
 };
 
-/// Deadline/cancel check at a pipeline stage boundary. Unlike
-/// ExecControl::Check this does not tick the solver-iteration counter —
-/// that counter measures work inside the solvers, not engine plumbing.
-Status CheckLive(const ExecControl& control, const char* where);
-
 class RequestPipeline {
  public:
   explicit RequestPipeline(PipelineOptions options = {});

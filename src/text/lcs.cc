@@ -1,6 +1,9 @@
 #include "text/lcs.h"
 
 #include <algorithm>
+#include <bit>
+
+#include "util/logging.h"
 
 namespace comparesets {
 
@@ -24,6 +27,51 @@ size_t LcsLength(const std::vector<std::string>& a,
     std::swap(prev, curr);
   }
   return prev[inner.size()];
+}
+
+BitParallelLcs::BitParallelLcs(size_t vocabulary_size,
+                               size_t max_pattern_length)
+    : stride_((max_pattern_length + 63) / 64),
+      masks_(vocabulary_size * stride_, 0),
+      row_(stride_, 0) {}
+
+void BitParallelLcs::SetPattern(const std::vector<uint32_t>& pattern) {
+  COMPARESETS_CHECK(pattern.size() <= stride_ * 64)
+      << "pattern longer than max_pattern_length";
+  for (uint32_t id : pattern_) {
+    std::fill_n(masks_.begin() + id * stride_, words_, 0);
+  }
+  pattern_ = pattern;
+  words_ = (pattern.size() + 63) / 64;
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    masks_[pattern[i] * stride_ + i / 64] |= uint64_t{1} << (i % 64);
+  }
+}
+
+size_t BitParallelLcs::Length(const std::vector<uint32_t>& text) {
+  // Row V starts all ones; each text id c updates
+  //   V' = (V + (V & M[c])) | (V & ~M[c]),
+  // the addition carrying across words. Zero bits of V count the LCS.
+  // Bits past the pattern's end start as one and stay one (M is zero
+  // there), so they never add to the count; the final carry drops off.
+  uint64_t* v = row_.data();
+  std::fill_n(v, words_, ~uint64_t{0});
+  for (uint32_t id : text) {
+    const uint64_t* m = masks_.data() + id * stride_;
+    uint64_t carry = 0;
+    for (size_t k = 0; k < words_; ++k) {
+      uint64_t x = v[k];
+      uint64_t u = x & m[k];
+      uint64_t sum = x + u;
+      uint64_t carry_out = sum < x;
+      sum += carry;
+      carry = carry_out | (sum < carry);
+      v[k] = sum | (x ^ u);  // x ^ u == x & ~m[k], since u ⊆ x.
+    }
+  }
+  size_t length = 0;
+  for (size_t k = 0; k < words_; ++k) length += std::popcount(~v[k]);
+  return length;
 }
 
 }  // namespace comparesets

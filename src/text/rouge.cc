@@ -1,8 +1,5 @@
 #include "text/rouge.h"
 
-#include "text/lcs.h"
-#include "text/tokenizer.h"
-
 namespace comparesets {
 
 namespace {
@@ -20,6 +17,19 @@ RougeScore FromCounts(int overlap, int candidate_total, int reference_total) {
                (score.precision + score.recall);
   }
   return score;
+}
+
+int BigramTotal(int tokens) { return tokens >= 2 ? tokens - 1 : 0; }
+
+/// Candidate-vs-reference triple from the pair's overlap counts.
+RougeTriple FromOverlaps(int unigram_overlap, int bigram_overlap, int lcs,
+                         int candidate_tokens, int reference_tokens) {
+  RougeTriple out;
+  out.rouge1 = FromCounts(unigram_overlap, candidate_tokens, reference_tokens);
+  out.rouge2 = FromCounts(bigram_overlap, BigramTotal(candidate_tokens),
+                          BigramTotal(reference_tokens));
+  out.rougeL = FromCounts(lcs, candidate_tokens, reference_tokens);
+  return out;
 }
 
 }  // namespace
@@ -54,23 +64,35 @@ RougeDocument::RougeDocument(std::string_view text)
       bigrams_(CountNgrams(tokens_, 2)) {}
 
 RougeTriple RougeDocument::ScoreAgainst(const RougeDocument& reference) const {
-  RougeTriple out;
-  out.rouge1 =
-      FromCounts(ClippedOverlap(unigrams_, reference.unigrams_),
-                 static_cast<int>(tokens_.size()),
-                 static_cast<int>(reference.tokens_.size()));
-  int bigram_candidate = tokens_.size() >= 2
-                             ? static_cast<int>(tokens_.size()) - 1
-                             : 0;
-  int bigram_reference = reference.tokens_.size() >= 2
-                             ? static_cast<int>(reference.tokens_.size()) - 1
-                             : 0;
-  out.rouge2 = FromCounts(ClippedOverlap(bigrams_, reference.bigrams_),
-                          bigram_candidate, bigram_reference);
-  int lcs = static_cast<int>(LcsLength(tokens_, reference.tokens_));
-  out.rougeL = FromCounts(lcs, static_cast<int>(tokens_.size()),
-                          static_cast<int>(reference.tokens_.size()));
-  return out;
+  return FromOverlaps(ClippedOverlap(unigrams_, reference.unigrams_),
+                      ClippedOverlap(bigrams_, reference.bigrams_),
+                      static_cast<int>(LcsLength(tokens_, reference.tokens_)),
+                      static_cast<int>(tokens_.size()),
+                      static_cast<int>(reference.tokens_.size()));
+}
+
+InternedDocument::InternedDocument(std::string_view text,
+                                   TokenVocabulary* vocabulary) {
+  for (const std::string& token : Tokenize(text)) {
+    ids.push_back(vocabulary->Intern(token));
+  }
+  unigrams = CountIdNgrams(ids, 1);
+  bigrams = CountIdNgrams(ids, 2);
+}
+
+RougeTriple SymmetricRouge(const InternedDocument& a,
+                           const InternedDocument& b, BitParallelLcs* lcs) {
+  int unigram_overlap = ClippedOverlap(a.unigrams, b.unigrams);
+  int bigram_overlap = ClippedOverlap(a.bigrams, b.bigrams);
+  int lcs_length = static_cast<int>(lcs->Length(b.ids));
+  int a_tokens = static_cast<int>(a.ids.size());
+  int b_tokens = static_cast<int>(b.ids.size());
+  RougeTriple score = FromOverlaps(unigram_overlap, bigram_overlap,
+                                   lcs_length, a_tokens, b_tokens);
+  score += FromOverlaps(unigram_overlap, bigram_overlap, lcs_length,
+                        b_tokens, a_tokens);
+  score /= 2.0;
+  return score;
 }
 
 RougeScore Rouge1(std::string_view candidate, std::string_view reference) {

@@ -11,7 +11,9 @@
 #include <string_view>
 #include <vector>
 
+#include "text/lcs.h"
 #include "text/ngram.h"
+#include "text/tokenizer.h"
 
 namespace comparesets {
 
@@ -50,6 +52,27 @@ class RougeDocument {
   NgramCounts unigrams_;
   NgramCounts bigrams_;
 };
+
+/// A document tokenized exactly as RougeDocument tokenizes it, with its
+/// tokens interned into a caller-owned TokenVocabulary and its n-gram
+/// multisets kept as sorted id vectors — the form SymmetricRouge scores
+/// many pairs in.
+struct InternedDocument {
+  InternedDocument(std::string_view text, TokenVocabulary* vocabulary);
+
+  std::vector<uint32_t> ids;
+  IdNgramCounts unigrams;
+  IdNgramCounts bigrams;
+};
+
+/// Symmetrized pair score: the mean of `a` scored against `b` and `b`
+/// scored against `a`, bit-identical to averaging
+/// RougeDocument::ScoreAgainst in both directions over the same texts.
+/// The clipped overlaps and the LCS are symmetric, so each is counted
+/// once. `lcs` must hold `a.ids` as its pattern; both documents must be
+/// interned into one vocabulary.
+RougeTriple SymmetricRouge(const InternedDocument& a,
+                           const InternedDocument& b, BitParallelLcs* lcs);
 
 /// Convenience helpers over raw strings (candidate scored vs reference).
 RougeScore Rouge1(std::string_view candidate, std::string_view reference);

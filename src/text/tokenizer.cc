@@ -58,6 +58,11 @@ std::vector<std::string> Tokenize(std::string_view text,
   return tokens;
 }
 
+uint32_t TokenVocabulary::Intern(const std::string& token) {
+  return ids_.try_emplace(token, static_cast<uint32_t>(ids_.size()))
+      .first->second;
+}
+
 std::vector<std::string> SplitSentences(std::string_view text) {
   std::vector<std::string> out;
   std::string current;

@@ -7,8 +7,10 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace comparesets {
@@ -25,6 +27,18 @@ struct TokenizerOptions {
 /// Splits text into word tokens.
 std::vector<std::string> Tokenize(std::string_view text,
                                   const TokenizerOptions& options = {});
+
+/// Dense token vocabulary: each distinct token string gets the next
+/// uint32_t id, starting at 0. Ids mean nothing outside the vocabulary
+/// that issued them.
+class TokenVocabulary {
+ public:
+  uint32_t Intern(const std::string& token);
+  size_t size() const { return ids_.size(); }
+
+ private:
+  std::unordered_map<std::string, uint32_t> ids_;
+};
 
 /// Light suffix stripper used when TokenizerOptions::light_stem is set.
 std::string LightStem(const std::string& token);

@@ -20,4 +20,15 @@ Status ExecControl::Check(const char* where) const {
   return Status::OK();
 }
 
+Status CheckLive(const ExecControl& control, const char* where) {
+  if (control.cancel != nullptr && control.cancel->cancelled()) {
+    return Status::Cancelled(std::string("request cancelled before ") + where);
+  }
+  if (control.deadline != nullptr && control.deadline->Expired()) {
+    return Status::DeadlineExceeded(std::string("deadline exceeded before ") +
+                                    where);
+  }
+  return Status::OK();
+}
+
 }  // namespace comparesets

@@ -101,6 +101,11 @@ struct ExecControl {
   Status Check(const char* where) const;
 };
 
+/// Deadline/cancel check at a stage boundary. Unlike ExecControl::Check
+/// this does not tick the solver-iteration counter — that counter
+/// measures work inside the solvers, not engine plumbing or evaluation.
+Status CheckLive(const ExecControl& control, const char* where);
+
 /// Records a span on a possibly-null control / possibly-null sink.
 inline void RecordSpan(const ExecControl* control, const char* name,
                        double seconds) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <numeric>
 
+#include "data/synthetic.h"
 #include "eval/information_loss.h"
 #include "test_fixtures.h"
+#include "util/rng.h"
 
 namespace comparesets {
 namespace {
@@ -101,6 +106,138 @@ TEST_F(AlignmentTest, IdenticalTextEverywhereScoresOne) {
   AlignmentScores scores = MeasureAlignment(instance, {{0, 1}, {0, 1}});
   EXPECT_DOUBLE_EQ(scores.among_items.rouge1.f1, 1.0);
   EXPECT_DOUBLE_EQ(scores.among_items.rougeL.f1, 1.0);
+}
+
+TEST_F(AlignmentTest, ExpiredDeadlineReturnsDeadlineExceeded) {
+  Deadline deadline(1e-9);
+  while (!deadline.Expired()) {
+  }
+  ExecControl control;
+  control.deadline = &deadline;
+  auto scores = MeasureAlignment(instance_, {{0, 1}, {0}, {0, 1}}, &control);
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+TEST_F(AlignmentTest, CancelledTokenReturnsCancelled) {
+  CancelToken cancel;
+  cancel.Cancel();
+  ExecControl control;
+  control.cancel = &cancel;
+  auto scores = MeasureAlignment(instance_, {{0, 1}, {0}, {0, 1}}, &control);
+  ASSERT_FALSE(scores.ok());
+  EXPECT_EQ(scores.status().code(), StatusCode::kCancelled);
+}
+
+TEST_F(AlignmentTest, LiveControlMatchesUncontrolledCall) {
+  Deadline deadline(3600.0);
+  std::atomic<uint64_t> iterations{0};
+  ExecControl control;
+  control.deadline = &deadline;
+  control.iterations = &iterations;
+  std::vector<Selection> selections = {{0, 1, 2}, {0, 1}, {2, 3}};
+  auto controlled = MeasureAlignment(instance_, selections, &control);
+  ASSERT_TRUE(controlled.ok()) << controlled.status();
+  AlignmentScores plain = MeasureAlignment(instance_, selections);
+  EXPECT_EQ(std::memcmp(&controlled.value(), &plain, sizeof(plain)), 0);
+  // Alignment is not solver work: the iteration counter stays put.
+  EXPECT_EQ(iterations.load(), 0u);
+}
+
+// --- Fast path vs the string reference --------------------------------------
+
+RougeTriple Mean(const std::vector<RougeTriple>& scores) {
+  RougeTriple mean;
+  if (scores.empty()) return mean;
+  for (const RougeTriple& s : scores) mean += s;
+  mean /= static_cast<double>(scores.size());
+  return mean;
+}
+
+// The string implementation MeasureAlignment replaced: every pair scored
+// through RougeDocument in both directions and averaged, pairs in the
+// order (item a < b, reviews of a, reviews of b).
+AlignmentScores ReferenceAlignment(const ProblemInstance& instance,
+                                   const std::vector<Selection>& selections) {
+  std::vector<std::vector<RougeDocument>> docs(instance.num_items());
+  for (size_t item = 0; item < instance.num_items(); ++item) {
+    for (size_t review : selections[item]) {
+      docs[item].emplace_back(instance.items[item]->reviews[review].text);
+    }
+  }
+  std::vector<RougeTriple> target_scores;
+  std::vector<RougeTriple> among_scores;
+  for (size_t a = 0; a < docs.size(); ++a) {
+    for (size_t b = a + 1; b < docs.size(); ++b) {
+      for (const RougeDocument& da : docs[a]) {
+        for (const RougeDocument& db : docs[b]) {
+          RougeTriple score = da.ScoreAgainst(db);
+          score += db.ScoreAgainst(da);
+          score /= 2.0;
+          among_scores.push_back(score);
+          if (a == 0) target_scores.push_back(score);
+        }
+      }
+    }
+  }
+  AlignmentScores out;
+  out.target_vs_comparative = Mean(target_scores);
+  out.among_items = Mean(among_scores);
+  out.target_pairs = target_scores.size();
+  out.among_pairs = among_scores.size();
+  return out;
+}
+
+// Up to m distinct random review indices per item (never fewer than 1).
+std::vector<Selection> RandomSelections(const ProblemInstance& instance,
+                                        size_t m, Rng* rng) {
+  std::vector<Selection> selections;
+  for (const Product* item : instance.items) {
+    Selection all(item->reviews.size());
+    std::iota(all.begin(), all.end(), 0);
+    size_t take = 1 + rng->UniformU32(static_cast<uint32_t>(
+                          std::min(m, all.size())));
+    for (size_t i = 0; i < take; ++i) {
+      std::swap(all[i], all[i + rng->UniformU32(
+                                    static_cast<uint32_t>(all.size() - i))]);
+    }
+    all.resize(take);
+    selections.push_back(all);
+  }
+  return selections;
+}
+
+TEST(AlignmentOracleTest, BitIdenticalToStringReferenceOnSyntheticCatalog) {
+  auto config = DefaultConfig("Cellphone", 80);
+  ASSERT_TRUE(config.ok()) << config.status();
+  config.value().seed = 7;
+  auto corpus = GenerateCorpus(config.value());
+  ASSERT_TRUE(corpus.ok()) << corpus.status();
+  std::vector<ProblemInstance> instances = corpus.value().BuildInstances();
+  ASSERT_GE(instances.size(), 5u);
+  Rng rng(99);
+  size_t checked = 0;
+  for (size_t m : {3, 5, 10}) {
+    for (size_t i = 0; i < std::min<size_t>(instances.size(), 8); ++i) {
+      std::vector<Selection> selections =
+          RandomSelections(instances[i], m, &rng);
+      AlignmentScores fast = MeasureAlignment(instances[i], selections);
+      AlignmentScores reference = ReferenceAlignment(instances[i], selections);
+      EXPECT_EQ(std::memcmp(&fast.target_vs_comparative,
+                            &reference.target_vs_comparative,
+                            sizeof(RougeTriple)),
+                0)
+          << "m " << m << " instance " << i;
+      EXPECT_EQ(std::memcmp(&fast.among_items, &reference.among_items,
+                            sizeof(RougeTriple)),
+                0)
+          << "m " << m << " instance " << i;
+      EXPECT_EQ(fast.target_pairs, reference.target_pairs);
+      EXPECT_EQ(fast.among_pairs, reference.among_pairs);
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 15u);
 }
 
 // --- Information loss (Figure 11) ------------------------------------------

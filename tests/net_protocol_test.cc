@@ -285,6 +285,7 @@ TEST(MessageCodecTest, SelectResponseRoundTripIsBitExact) {
   response.trace.tier = "sampled";
   response.trace.objective_gap = 0.03125;
   response.trace.spans.push_back({"crs.items", 0.001});
+  response.trace.alignment_seconds = 0.0125;
 
   auto decoded =
       DecodeSelectResult(EncodeSelectResult(Result<SelectResponse>(response)));
@@ -310,6 +311,7 @@ TEST(MessageCodecTest, SelectResponseRoundTripIsBitExact) {
   EXPECT_EQ(got.trace.shard_id, response.trace.shard_id);
   EXPECT_EQ(got.trace.tier, response.trace.tier);
   EXPECT_EQ(got.trace.objective_gap, response.trace.objective_gap);
+  EXPECT_EQ(got.trace.alignment_seconds, response.trace.alignment_seconds);
   ASSERT_EQ(got.trace.spans.size(), 1u);
   EXPECT_EQ(got.trace.spans[0].name, "crs.items");
   EXPECT_EQ(got.trace.spans[0].seconds, 0.001);

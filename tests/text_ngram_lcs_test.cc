@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "text/lcs.h"
 #include "text/ngram.h"
+#include "util/rng.h"
 
 namespace comparesets {
 namespace {
@@ -90,6 +94,87 @@ TEST(LcsTest, UpperBoundedByShorterLength) {
   auto a = Words({"a", "b", "c", "d", "e", "f"});
   auto b = Words({"c", "d"});
   EXPECT_LE(LcsLength(a, b), b.size());
+}
+
+// --- Integer-id fast paths vs the string reference -------------------------
+
+std::vector<uint32_t> RandomIds(Rng* rng, size_t length, uint32_t alphabet) {
+  std::vector<uint32_t> ids(length);
+  for (uint32_t& id : ids) id = rng->UniformU32(alphabet);
+  return ids;
+}
+
+std::vector<std::string> AsWords(const std::vector<uint32_t>& ids) {
+  std::vector<std::string> words;
+  for (uint32_t id : ids) words.push_back("w" + std::to_string(id));
+  return words;
+}
+
+size_t BitParallelLcsLength(const std::vector<uint32_t>& a,
+                            const std::vector<uint32_t>& b) {
+  uint32_t alphabet = 1;
+  for (uint32_t id : a) alphabet = std::max(alphabet, id + 1);
+  for (uint32_t id : b) alphabet = std::max(alphabet, id + 1);
+  BitParallelLcs lcs(alphabet, a.size());
+  lcs.SetPattern(a);
+  return lcs.Length(b);
+}
+
+TEST(IdNgramTest, SortedRunLengthCounts) {
+  IdNgramCounts unigrams = CountIdNgrams({3, 1, 3, 3}, 1);
+  EXPECT_EQ(unigrams, (IdNgramCounts{{1, 1}, {3, 3}}));
+  IdNgramCounts bigrams = CountIdNgrams({1, 2, 1, 2}, 2);
+  uint64_t one_two = uint64_t{1} << 32 | 2;
+  uint64_t two_one = uint64_t{2} << 32 | 1;
+  EXPECT_EQ(bigrams, (IdNgramCounts{{one_two, 2}, {two_one, 1}}));
+  EXPECT_TRUE(CountIdNgrams({7}, 2).empty());
+  EXPECT_TRUE(CountIdNgrams({}, 1).empty());
+}
+
+TEST(IdNgramTest, ClippedOverlapMatchesStringMultisets) {
+  Rng rng(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    uint32_t alphabet = 2 + rng.UniformU32(20);
+    std::vector<uint32_t> a = RandomIds(&rng, rng.UniformU32(60), alphabet);
+    std::vector<uint32_t> b = RandomIds(&rng, rng.UniformU32(60), alphabet);
+    for (size_t n : {1, 2}) {
+      EXPECT_EQ(ClippedOverlap(CountIdNgrams(a, n), CountIdNgrams(b, n)),
+                ClippedOverlap(CountNgrams(AsWords(a), n),
+                               CountNgrams(AsWords(b), n)))
+          << "trial " << trial << " n " << n;
+    }
+  }
+}
+
+TEST(BitParallelLcsTest, MatchesDynamicProgramAcrossWordBoundaries) {
+  // Lengths straddle the 64-bit word edges; small alphabets force heavy
+  // repeats, hence long carry chains across words.
+  const size_t kLengths[] = {0, 1, 2, 63, 64, 65, 127, 128, 129, 200};
+  Rng rng(17);
+  for (uint32_t alphabet : {2u, 3u, 5u, 10u, 26u, 50u}) {
+    // One matcher reused for every pattern, as the alignment pass does:
+    // each SetPattern must fully clear the previous pattern's rows.
+    BitParallelLcs lcs(alphabet, 200);
+    for (size_t la : kLengths) {
+      std::vector<uint32_t> a = RandomIds(&rng, la, alphabet);
+      lcs.SetPattern(a);
+      for (size_t lb : kLengths) {
+        std::vector<uint32_t> b = RandomIds(&rng, lb, alphabet);
+        size_t expected = LcsLength(AsWords(a), AsWords(b));
+        EXPECT_EQ(lcs.Length(b), expected)
+            << "alphabet " << alphabet << " |a| " << la << " |b| " << lb;
+        EXPECT_EQ(BitParallelLcsLength(b, a), expected);
+      }
+    }
+  }
+}
+
+TEST(BitParallelLcsTest, IdenticalAndDisjointSequences) {
+  std::vector<uint32_t> seq(130);
+  for (size_t i = 0; i < seq.size(); ++i) seq[i] = i % 7;
+  EXPECT_EQ(BitParallelLcsLength(seq, seq), seq.size());
+  EXPECT_EQ(BitParallelLcsLength({0, 1, 2}, {3, 4}), 0u);
+  EXPECT_EQ(BitParallelLcsLength({}, {}), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "util/rng.h"
+
 namespace comparesets {
 namespace {
 
@@ -122,6 +127,73 @@ TEST(RougeTripleTest, AccumulateAndAverage) {
   total += RougeAll("x", "y");
   total /= 2.0;
   EXPECT_NEAR(total.rouge1.f1, 0.5, 1e-12);
+}
+
+// --- Interned pair scoring vs the string reference -------------------------
+
+// The reference: the string path scored in both directions and averaged.
+RougeTriple ReferencePair(const std::string& a, const std::string& b) {
+  RougeTriple score = RougeDocument(a).ScoreAgainst(RougeDocument(b));
+  score += RougeDocument(b).ScoreAgainst(RougeDocument(a));
+  score /= 2.0;
+  return score;
+}
+
+RougeTriple InternedPair(const std::string& a, const std::string& b) {
+  TokenVocabulary vocabulary;
+  InternedDocument da(a, &vocabulary);
+  InternedDocument db(b, &vocabulary);
+  BitParallelLcs lcs(vocabulary.size(), da.ids.size());
+  lcs.SetPattern(da.ids);
+  return SymmetricRouge(da, db, &lcs);
+}
+
+std::string RandomText(Rng* rng, size_t max_tokens, uint32_t alphabet) {
+  static const char* kWords[] = {"the",   "battery", "Great", "case",
+                                 "don't", "screen",  "fits",  "a",
+                                 "price", "works",   "well",  "phone"};
+  std::string text;
+  size_t tokens = rng->UniformU32(static_cast<uint32_t>(max_tokens) + 1);
+  for (size_t i = 0; i < tokens; ++i) {
+    text += kWords[rng->UniformU32(alphabet)];
+    text += rng->UniformU32(6) == 0 ? ". " : " ";
+  }
+  return text;
+}
+
+TEST(InternedRougeTest, SymmetricRougeBitIdenticalToStringPath) {
+  Rng rng(23);
+  for (int trial = 0; trial < 500; ++trial) {
+    uint32_t alphabet = 2 + rng.UniformU32(11);
+    std::string a = RandomText(&rng, 150, alphabet);
+    std::string b = RandomText(&rng, 150, alphabet);
+    RougeTriple fast = InternedPair(a, b);
+    RougeTriple reference = ReferencePair(a, b);
+    EXPECT_EQ(std::memcmp(&fast, &reference, sizeof(RougeTriple)), 0)
+        << "a: " << a << "\nb: " << b;
+  }
+}
+
+TEST(InternedRougeTest, EdgeCasesBitIdentical) {
+  const char* texts[] = {"", "word", "a a a", "a b", "the cat sat",
+                         "The Battery, is GREAT!"};
+  for (const char* a : texts) {
+    for (const char* b : texts) {
+      RougeTriple fast = InternedPair(a, b);
+      RougeTriple reference = ReferencePair(a, b);
+      EXPECT_EQ(std::memcmp(&fast, &reference, sizeof(RougeTriple)), 0)
+          << "'" << a << "' vs '" << b << "'";
+    }
+  }
+}
+
+TEST(InternedRougeTest, VocabularyAssignsDenseIds) {
+  TokenVocabulary vocabulary;
+  InternedDocument doc("b a b c", &vocabulary);
+  EXPECT_EQ(doc.ids, (std::vector<uint32_t>{0, 1, 0, 2}));
+  EXPECT_EQ(vocabulary.size(), 3u);
+  EXPECT_EQ(doc.unigrams, (IdNgramCounts{{0, 2}, {1, 1}, {2, 1}}));
+  EXPECT_EQ(doc.bigrams.size(), 3u);
 }
 
 }  // namespace
