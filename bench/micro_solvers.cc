@@ -42,6 +42,7 @@
 #include "core/design_matrix.h"
 #include "core/integer_regression.h"
 #include "data/synthetic.h"
+#include "eval/alignment.h"
 #include "eval/runner.h"
 #include "graph/targethks_exact.h"
 #include "graph/targethks_greedy.h"
@@ -252,22 +253,69 @@ void BM_RougePair(benchmark::State& state) {
 BENCHMARK(BM_RougePair);
 
 // The alignment pass's per-pair kernel: both directions of the pair from
-// one set of integer counts (merge-intersected n-grams, bit-parallel
-// LCS against the outer review's mask table, loaded once). The string
-// reference above scores ONE direction, so it costs twice per pair.
+// one set of integer counts (the inner review's n-gram lists read
+// against the outer review's dense count tables, bit-parallel LCS
+// against its mask table, all loaded once). The string reference above
+// scores ONE direction, so it costs twice per pair.
 void BM_RougePairInterned(benchmark::State& state) {
   const Product& product = *BenchWorkload().instances()[0].items[0];
-  TokenVocabulary vocabulary;
-  InternedDocument a(product.reviews[0].text, &vocabulary);
-  InternedDocument b(product.reviews[1].text, &vocabulary);
-  BitParallelLcs lcs(vocabulary.size(), a.ids.size());
-  lcs.SetPattern(a.ids);
+  InternedDocuments docs;
+  size_t a = docs.Add(product.reviews[0].text);
+  size_t b = docs.Add(product.reviews[1].text);
+  SymmetricRougeScorer scorer(&docs);
+  scorer.SetOuter(a);
   for (auto _ : state) {
-    RougeTriple scores = SymmetricRouge(a, b, &lcs);
+    RougeTriple scores = scorer.Score(b);
     benchmark::DoNotOptimize(scores);
   }
 }
 BENCHMARK(BM_RougePairInterned);
+
+// One whole alignment call (interning, count tables, every cross-item
+// pair) on a served-size selection: of the CompaReSetS+ selections at
+// the served m = 3..7 over the bench instances, the one whose review
+// count is nearest 95, the mean a served select_align request aligns.
+void BM_MeasureAlignmentServed(benchmark::State& state) {
+  constexpr size_t kServedReviews = 95;
+  static const auto* kServed = [] {
+    const Workload& workload = BenchWorkload();
+    auto* served = new std::pair<size_t, std::vector<Selection>>();
+    size_t best_gap = SIZE_MAX;
+    for (size_t i = 0; i < workload.num_instances(); ++i) {
+      SelectorOptions options;
+      for (options.m = 3; options.m <= 7; ++options.m) {
+        std::vector<Selection> selections =
+            CompareSetsPlusSelector()
+                .Select(workload.vectors()[i], options)
+                .ValueOrDie()
+                .selections;
+        size_t reviews = 0;
+        for (const Selection& selection : selections) {
+          reviews += selection.size();
+        }
+        size_t gap = reviews > kServedReviews ? reviews - kServedReviews
+                                              : kServedReviews - reviews;
+        if (gap < best_gap) {
+          best_gap = gap;
+          *served = {i, std::move(selections)};
+        }
+      }
+    }
+    return served;
+  }();
+  const ProblemInstance& instance = BenchWorkload().instances()[kServed->first];
+  const std::vector<Selection>& selections = kServed->second;
+  size_t reviews = 0;
+  for (const Selection& selection : selections) reviews += selection.size();
+  AlignmentScores scores;
+  for (auto _ : state) {
+    scores = MeasureAlignment(instance, selections);
+    benchmark::DoNotOptimize(scores);
+  }
+  state.counters["reviews"] = static_cast<double>(reviews);
+  state.counters["pairs"] = static_cast<double>(scores.among_pairs);
+}
+BENCHMARK(BM_MeasureAlignmentServed)->Unit(benchmark::kMillisecond);
 
 void BM_RougeDocumentConstruction(benchmark::State& state) {
   const Product& product = *BenchWorkload().instances()[0].items[0];

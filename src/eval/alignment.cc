@@ -14,7 +14,7 @@ RougeTriple Mean(RougeTriple sum, size_t count) {
   return sum;
 }
 
-/// Tokenizes and interns every selected review once, into a vocabulary
+/// Tokenizes and interns every selected review once, into vocabularies
 /// private to this call (engine threads align concurrently), then scores
 /// each cross-item pair once. Pairs are visited — and their scores
 /// summed — in a fixed order (item a < b, then a's reviews, then b's),
@@ -26,9 +26,9 @@ Result<AlignmentScores> Measure(const ProblemInstance& instance,
   COMPARESETS_CHECK(selections.size() == instance.num_items())
       << "selection count mismatch";
 
-  TokenVocabulary vocabulary;
-  std::vector<std::vector<InternedDocument>> docs(items.size());
-  size_t max_tokens = 0;
+  // Item t's reviews are documents first[t] .. first[t + 1] - 1.
+  InternedDocuments docs;
+  std::vector<size_t> first(items.size() + 1, 0);
   for (size_t t = 0; t < items.size(); ++t) {
     size_t item = items[t];
     COMPARESETS_CHECK(item < instance.num_items()) << "item out of range";
@@ -36,12 +36,12 @@ Result<AlignmentScores> Measure(const ProblemInstance& instance,
     for (size_t review_index : selections[item]) {
       COMPARESETS_CHECK(review_index < product.reviews.size())
           << "review index out of range";
-      docs[t].emplace_back(product.reviews[review_index].text, &vocabulary);
-      max_tokens = std::max(max_tokens, docs[t].back().ids.size());
+      docs.Add(product.reviews[review_index].text);
     }
+    first[t + 1] = docs.size();
   }
 
-  BitParallelLcs lcs(vocabulary.size(), max_tokens);
+  SymmetricRougeScorer scorer(&docs);
   RougeTriple target_sum;
   RougeTriple among_sum;
   AlignmentScores out;
@@ -51,10 +51,10 @@ Result<AlignmentScores> Measure(const ProblemInstance& instance,
         COMPARESETS_RETURN_NOT_OK(CheckLive(*control, "alignment"));
       }
       bool target = items[a] == 0 || items[b] == 0;
-      for (const InternedDocument& da : docs[a]) {
-        lcs.SetPattern(da.ids);
-        for (const InternedDocument& db : docs[b]) {
-          RougeTriple score = SymmetricRouge(da, db, &lcs);
+      for (size_t da = first[a]; da < first[a + 1]; ++da) {
+        scorer.SetOuter(da);
+        for (size_t db = first[b]; db < first[b + 1]; ++db) {
+          RougeTriple score = scorer.Score(db);
           among_sum += score;
           ++out.among_pairs;
           if (target) {

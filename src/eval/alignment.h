@@ -5,11 +5,12 @@
 //   * "Among items": pairs from any two distinct items (Tables 3b / 6b).
 // Reported as mean F1 per pair; 0 when no pair exists.
 //
-// Each call tokenizes the selected reviews once, interns their tokens
-// into a per-call vocabulary, and counts each pair's unigram / bigram
-// overlap (sorted-vector merge) and LCS (bit-parallel) once. The result
-// is bit-identical to averaging RougeDocument::ScoreAgainst in both
-// directions per pair, summed in the same pair order.
+// Each call tokenizes the selected reviews once, interns their words and
+// bigrams into per-call dense ids, and counts each pair's unigram /
+// bigram overlap (against dense count tables of the outer review) and
+// LCS (bit-parallel) once. The result is bit-identical to averaging
+// RougeDocument::ScoreAgainst in both directions per pair, summed in the
+// same pair order.
 
 #pragma once
 

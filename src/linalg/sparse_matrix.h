@@ -58,9 +58,15 @@ class SparseMatrix {
   /// Number of nonzeros stored in column c.
   size_t ColumnNnz(size_t c) const { return col_ptr_[c + 1] - col_ptr_[c]; }
 
-  /// Row indices / values of column c (ColumnNnz(c) entries each).
-  const size_t* ColumnRows(size_t c) const { return &row_idx_[col_ptr_[c]]; }
-  const double* ColumnValues(size_t c) const { return &values_[col_ptr_[c]]; }
+  /// Row indices / values of column c (ColumnNnz(c) entries each). An
+  /// empty trailing column starts at nnz(), one past the last entry, so
+  /// these are pointer arithmetic, never element access.
+  const size_t* ColumnRows(size_t c) const {
+    return row_idx_.data() + col_ptr_[c];
+  }
+  const double* ColumnValues(size_t c) const {
+    return values_.data() + col_ptr_[c];
+  }
 
   /// Raw CSC arrays (cols()+1 / nnz() / nnz() entries) — the seam the
   /// kernel-dispatch layer works through.

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -15,21 +16,24 @@ size_t LcsLength(const std::vector<std::string>& a,
 
 /// Bit-parallel LCS length (Allison–Dix / Hyyrö) of token-id sequences
 /// against one fixed "pattern": O(|text| · ⌈|pattern|/64⌉) word
-/// operations per Length call. The match-mask table has one row per
-/// vocabulary id; SetPattern fills it at the pattern's own ids and
-/// clears the previous pattern's, so swapping patterns costs O(|pattern|)
-/// rather than O(vocabulary). Not thread-safe: one instance per caller.
+/// operations per Length call. Patterns of one or two words (up to 128
+/// ids, nearly every review) run in straight-line code with the row in
+/// registers; longer ones carry across words in a loop. The match-mask
+/// table has one row per vocabulary id; SetPattern fills it at the
+/// pattern's own ids and clears the previous pattern's, so swapping
+/// patterns costs O(|pattern|) rather than O(vocabulary). Not
+/// thread-safe: one instance per caller.
 class BitParallelLcs {
  public:
   /// Every id passed in must be < `vocabulary_size`; every pattern must
   /// have at most `max_pattern_length` ids.
   BitParallelLcs(size_t vocabulary_size, size_t max_pattern_length);
 
-  void SetPattern(const std::vector<uint32_t>& pattern);
+  void SetPattern(std::span<const uint32_t> pattern);
 
   /// LCS length of the current pattern and `text`; equals LcsLength
   /// over the same tokens.
-  size_t Length(const std::vector<uint32_t>& text);
+  size_t Length(std::span<const uint32_t> text);
 
  private:
   size_t stride_;                 ///< Words per mask row (max pattern).

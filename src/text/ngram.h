@@ -2,7 +2,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -22,16 +21,5 @@ int ClippedOverlap(const NgramCounts& a, const NgramCounts& b);
 
 /// Total count in a multiset.
 int TotalCount(const NgramCounts& counts);
-
-/// Multiset of integer n-gram keys as (key, count) pairs, sorted by key
-/// with each key once. A unigram key is a token id; a bigram key packs
-/// `id_a << 32 | id_b`, which is one-to-one like the '\x1f' join.
-using IdNgramCounts = std::vector<std::pair<uint64_t, int>>;
-
-/// Extracts order-n n-grams (n = 1 or 2) from a token-id sequence.
-IdNgramCounts CountIdNgrams(const std::vector<uint32_t>& ids, size_t n);
-
-/// ClippedOverlap over sorted id multisets, by one merge pass.
-int ClippedOverlap(const IdNgramCounts& a, const IdNgramCounts& b);
 
 }  // namespace comparesets

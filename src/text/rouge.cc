@@ -1,5 +1,7 @@
 #include "text/rouge.h"
 
+#include <algorithm>
+
 namespace comparesets {
 
 namespace {
@@ -30,6 +32,27 @@ RougeTriple FromOverlaps(int unigram_overlap, int bigram_overlap, int lcs,
                           BigramTotal(reference_tokens));
   out.rougeL = FromCounts(lcs, candidate_tokens, reference_tokens);
   return out;
+}
+
+using IdCount = InternedDocuments::IdCount;
+
+/// Writes each listed count into `table` at its id, or zero if `clear`.
+void WriteCounts(std::span<const IdCount> counts, bool clear,
+                 std::vector<int>* table) {
+  for (const IdCount& entry : counts) {
+    (*table)[entry.id] = clear ? 0 : entry.count;
+  }
+}
+
+/// Σ min(count, table[id]) over the list: the clipped overlap of its
+/// multiset with the one written into the table.
+int TableOverlap(std::span<const IdCount> counts,
+                 const std::vector<int>& table) {
+  int overlap = 0;
+  for (const IdCount& entry : counts) {
+    overlap += std::min(entry.count, table[entry.id]);
+  }
+  return overlap;
 }
 
 }  // namespace
@@ -71,26 +94,66 @@ RougeTriple RougeDocument::ScoreAgainst(const RougeDocument& reference) const {
                       static_cast<int>(reference.tokens_.size()));
 }
 
-InternedDocument::InternedDocument(std::string_view text,
-                                   TokenVocabulary* vocabulary) {
-  for (const std::string& token : Tokenize(text)) {
-    ids.push_back(vocabulary->Intern(token));
+size_t InternedDocuments::Add(std::string_view text) {
+  size_t begin = ids_.size();
+  words_.AppendIds(text, &ids_);
+  auto ids = std::span<const uint32_t>(ids_).subspan(begin);
+  max_tokens_ = std::max(max_tokens_, ids.size());
+  bigram_ids_.clear();
+  for (size_t i = 1; i < ids.size(); ++i) {
+    // The packed pair is its own one-to-one hash.
+    uint64_t key = uint64_t{ids[i - 1]} << 32 | ids[i];
+    bigram_ids_.push_back(
+        bigram_index_.FindOrAdd(key, [](uint32_t) { return true; }).first);
   }
-  unigrams = CountIdNgrams(ids, 1);
-  bigrams = CountIdNgrams(ids, 2);
+  Count(ids, words_.size(), &unigrams_);
+  Count(bigram_ids_, bigram_index_.size(), &bigrams_);
+  starts_.push_back({ids_.size(), unigrams_.size(), bigrams_.size()});
+  return size() - 1;
 }
 
-RougeTriple SymmetricRouge(const InternedDocument& a,
-                           const InternedDocument& b, BitParallelLcs* lcs) {
-  int unigram_overlap = ClippedOverlap(a.unigrams, b.unigrams);
-  int bigram_overlap = ClippedOverlap(a.bigrams, b.bigrams);
-  int lcs_length = static_cast<int>(lcs->Length(b.ids));
-  int a_tokens = static_cast<int>(a.ids.size());
-  int b_tokens = static_cast<int>(b.ids.size());
+void InternedDocuments::Count(std::span<const uint32_t> keys,
+                              size_t vocabulary, std::vector<IdCount>* out) {
+  if (tally_.size() < vocabulary) tally_.resize(2 * vocabulary, 0);
+  size_t first = out->size();
+  for (uint32_t key : keys) {
+    if (tally_[key]++ == 0) out->push_back({key, 0});
+  }
+  for (size_t i = first; i < out->size(); ++i) {
+    IdCount& entry = (*out)[i];
+    entry.count = tally_[entry.id];
+    tally_[entry.id] = 0;
+  }
+}
+
+SymmetricRougeScorer::SymmetricRougeScorer(const InternedDocuments* docs)
+    : docs_(*docs),
+      unigram_table_(docs->num_words(), 0),
+      bigram_table_(docs->num_bigrams(), 0),
+      lcs_(docs->num_words(), docs->max_tokens()) {}
+
+void SymmetricRougeScorer::SetOuter(size_t a) {
+  if (has_outer_) {
+    WriteCounts(docs_.unigrams(outer_), true, &unigram_table_);
+    WriteCounts(docs_.bigrams(outer_), true, &bigram_table_);
+  }
+  WriteCounts(docs_.unigrams(a), false, &unigram_table_);
+  WriteCounts(docs_.bigrams(a), false, &bigram_table_);
+  lcs_.SetPattern(docs_.ids(a));
+  outer_ = a;
+  outer_tokens_ = static_cast<int>(docs_.ids(a).size());
+  has_outer_ = true;
+}
+
+RougeTriple SymmetricRougeScorer::Score(size_t b) {
+  int unigram_overlap = TableOverlap(docs_.unigrams(b), unigram_table_);
+  int bigram_overlap = TableOverlap(docs_.bigrams(b), bigram_table_);
+  int lcs_length = static_cast<int>(lcs_.Length(docs_.ids(b)));
+  int b_tokens = static_cast<int>(docs_.ids(b).size());
   RougeTriple score = FromOverlaps(unigram_overlap, bigram_overlap,
-                                   lcs_length, a_tokens, b_tokens);
+                                   lcs_length, outer_tokens_, b_tokens);
   score += FromOverlaps(unigram_overlap, bigram_overlap, lcs_length,
-                        b_tokens, a_tokens);
+                        b_tokens, outer_tokens_);
   score /= 2.0;
   return score;
 }

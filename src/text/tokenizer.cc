@@ -58,9 +58,57 @@ std::vector<std::string> Tokenize(std::string_view text,
   return tokens;
 }
 
-uint32_t TokenVocabulary::Intern(const std::string& token) {
-  return ids_.try_emplace(token, static_cast<uint32_t>(ids_.size()))
-      .first->second;
+void DenseIdIndex::Grow() {
+  std::vector<uint32_t> old = std::move(slots_);
+  slots_.assign(2 * old.size(), 0);
+  size_t mask = slots_.size() - 1;
+  for (uint32_t entry : old) {
+    if (entry == 0) continue;
+    size_t slot = Home(hashes_[entry - 1]);
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = entry;
+  }
+}
+
+TokenInterner::TokenInterner() {
+  // The same per-byte classification Tokenize makes, taken once.
+  for (int c = 0; c < 256; ++c) {
+    fold_[c] = std::isalnum(c) ? static_cast<unsigned char>(std::tolower(c))
+                               : 0;
+  }
+}
+
+void TokenInterner::AppendIds(std::string_view text,
+                              std::vector<uint32_t>* ids) {
+  constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
+  constexpr uint64_t kFnvPrime = 1099511628211ULL;
+  size_t start = arena_.size();
+  uint64_t hash = kFnvOffset;
+  for (char raw : text) {
+    unsigned char folded = fold_[static_cast<unsigned char>(raw)];
+    if (folded != 0) {
+      arena_.push_back(static_cast<char>(folded));
+      hash = (hash ^ folded) * kFnvPrime;
+    } else if (raw != '\'' && arena_.size() > start) {
+      // Apostrophes are dropped without ending the token, as in Tokenize.
+      ids->push_back(Commit(start, hash));
+      start = arena_.size();
+      hash = kFnvOffset;
+    }
+  }
+  if (arena_.size() > start) ids->push_back(Commit(start, hash));
+}
+
+uint32_t TokenInterner::Commit(size_t start, uint64_t hash) {
+  std::string_view token = std::string_view(arena_).substr(start);
+  auto [id, added] =
+      index_.FindOrAdd(hash, [&](uint32_t id) { return Word(id) == token; });
+  if (added) {
+    starts_.push_back(arena_.size());
+  } else {
+    arena_.resize(start);
+  }
+  return id;
 }
 
 std::vector<std::string> SplitSentences(std::string_view text) {

@@ -156,13 +156,14 @@ RougeTriple Mean(const std::vector<RougeTriple>& scores) {
 
 // The string implementation MeasureAlignment replaced: every pair scored
 // through RougeDocument in both directions and averaged, pairs in the
-// order (item a < b, reviews of a, reviews of b).
+// order (position a < b in `items`, reviews of a, reviews of b).
 AlignmentScores ReferenceAlignment(const ProblemInstance& instance,
-                                   const std::vector<Selection>& selections) {
-  std::vector<std::vector<RougeDocument>> docs(instance.num_items());
-  for (size_t item = 0; item < instance.num_items(); ++item) {
-    for (size_t review : selections[item]) {
-      docs[item].emplace_back(instance.items[item]->reviews[review].text);
+                                   const std::vector<Selection>& selections,
+                                   const std::vector<size_t>& items) {
+  std::vector<std::vector<RougeDocument>> docs(items.size());
+  for (size_t t = 0; t < items.size(); ++t) {
+    for (size_t review : selections[items[t]]) {
+      docs[t].emplace_back(instance.items[items[t]]->reviews[review].text);
     }
   }
   std::vector<RougeTriple> target_scores;
@@ -175,7 +176,7 @@ AlignmentScores ReferenceAlignment(const ProblemInstance& instance,
           score += db.ScoreAgainst(da);
           score /= 2.0;
           among_scores.push_back(score);
-          if (a == 0) target_scores.push_back(score);
+          if (items[a] == 0 || items[b] == 0) target_scores.push_back(score);
         }
       }
     }
@@ -186,6 +187,29 @@ AlignmentScores ReferenceAlignment(const ProblemInstance& instance,
   out.target_pairs = target_scores.size();
   out.among_pairs = among_scores.size();
   return out;
+}
+
+AlignmentScores ReferenceAlignment(const ProblemInstance& instance,
+                                   const std::vector<Selection>& selections) {
+  std::vector<size_t> all(instance.num_items());
+  std::iota(all.begin(), all.end(), 0);
+  return ReferenceAlignment(instance, selections, all);
+}
+
+// memcmp-exact: every bit of both means, and both pair counts.
+void ExpectBitIdentical(const AlignmentScores& fast,
+                        const AlignmentScores& reference,
+                        const std::string& context) {
+  EXPECT_EQ(std::memcmp(&fast.target_vs_comparative,
+                        &reference.target_vs_comparative, sizeof(RougeTriple)),
+            0)
+      << context;
+  EXPECT_EQ(std::memcmp(&fast.among_items, &reference.among_items,
+                        sizeof(RougeTriple)),
+            0)
+      << context;
+  EXPECT_EQ(fast.target_pairs, reference.target_pairs) << context;
+  EXPECT_EQ(fast.among_pairs, reference.among_pairs) << context;
 }
 
 // Up to m distinct random review indices per item (never fewer than 1).
@@ -207,7 +231,66 @@ std::vector<Selection> RandomSelections(const ProblemInstance& instance,
   return selections;
 }
 
-TEST(AlignmentOracleTest, BitIdenticalToStringReferenceOnSyntheticCatalog) {
+// Besides a synthetic catalog, the oracle checks a fixture of four items
+// whose reviews take the shapes the fast path branches on:
+// token counts on each side of the LCS's 64-bit word edges (1-word,
+// 2-word and multi-word patterns), heavy repeats that force clipping,
+// and reviews with no tokens at all.
+class AlignmentOracleTest : public ::testing::Test {
+ protected:
+  AlignmentOracleTest() : corpus_("shapes") {
+    corpus_.catalog().Intern("battery");
+    const size_t kLengths[] = {63, 64, 65, 127, 128, 129, 200, 1, 2, 17};
+    Rng rng(61);
+    const char* ids[] = {"t", "c1", "c2", "c3"};
+    for (size_t p = 0; p < 4; ++p) {
+      Product product;
+      product.id = ids[p];
+      std::vector<std::string> texts;
+      for (size_t length : kLengths) {
+        // A small alphabet that differs a little per item, so pairs share
+        // most words and repeat them often.
+        texts.push_back(Words(&rng, length, 3 + p));
+      }
+      texts.push_back(Repeat("good", 90) + " " + Repeat("battery life", 40));
+      texts.push_back(Repeat("good good bad", 30));
+      texts.push_back("");
+      texts.push_back("!!! ... ' -- ?");
+      for (size_t r = 0; r < texts.size(); ++r) {
+        product.reviews.push_back(testing::MakeReview(
+            std::string(ids[p]) + "-r" + std::to_string(r),
+            {{0, testing::kPos}}, texts[r]));
+      }
+      corpus_.AddProduct(std::move(product)).CheckOK();
+    }
+    corpus_.Finalize();
+    for (const char* id : ids) instance_.items.push_back(corpus_.Find(id));
+  }
+
+  static std::string Words(Rng* rng, size_t length, uint32_t alphabet) {
+    static const char* kWords[] = {"good", "Battery", "life", "bad",
+                                   "don't", "screen", "4", "case"};
+    std::string text;
+    for (size_t i = 0; i < length; ++i) {
+      text += kWords[rng->UniformU32(alphabet)];
+      text += rng->UniformU32(5) == 0 ? ", " : " ";
+    }
+    return text;
+  }
+  static std::string Repeat(const std::string& phrase, size_t times) {
+    std::string text;
+    for (size_t i = 0; i < times; ++i) text += phrase + " ";
+    return text;
+  }
+  size_t Reviews(size_t item) const {
+    return instance_.items[item]->reviews.size();
+  }
+
+  Corpus corpus_;
+  ProblemInstance instance_;
+};
+
+TEST_F(AlignmentOracleTest, BitIdenticalToStringReferenceOnSyntheticCatalog) {
   auto config = DefaultConfig("Cellphone", 80);
   ASSERT_TRUE(config.ok()) << config.status();
   config.value().seed = 7;
@@ -221,23 +304,66 @@ TEST(AlignmentOracleTest, BitIdenticalToStringReferenceOnSyntheticCatalog) {
     for (size_t i = 0; i < std::min<size_t>(instances.size(), 8); ++i) {
       std::vector<Selection> selections =
           RandomSelections(instances[i], m, &rng);
-      AlignmentScores fast = MeasureAlignment(instances[i], selections);
-      AlignmentScores reference = ReferenceAlignment(instances[i], selections);
-      EXPECT_EQ(std::memcmp(&fast.target_vs_comparative,
-                            &reference.target_vs_comparative,
-                            sizeof(RougeTriple)),
-                0)
-          << "m " << m << " instance " << i;
-      EXPECT_EQ(std::memcmp(&fast.among_items, &reference.among_items,
-                            sizeof(RougeTriple)),
-                0)
-          << "m " << m << " instance " << i;
-      EXPECT_EQ(fast.target_pairs, reference.target_pairs);
-      EXPECT_EQ(fast.among_pairs, reference.among_pairs);
+      ExpectBitIdentical(MeasureAlignment(instances[i], selections),
+                         ReferenceAlignment(instances[i], selections),
+                         "m " + std::to_string(m) + " instance " +
+                             std::to_string(i));
       ++checked;
     }
   }
   EXPECT_GE(checked, 15u);
+}
+
+TEST_F(AlignmentOracleTest, EveryReviewOfEveryItemBitIdentical) {
+  std::vector<Selection> all;
+  for (size_t item = 0; item < 4; ++item) {
+    Selection selection(Reviews(item));
+    std::iota(selection.begin(), selection.end(), 0);
+    all.push_back(selection);
+  }
+  AlignmentScores fast = MeasureAlignment(instance_, all);
+  EXPECT_EQ(fast.among_pairs, 6 * Reviews(0) * Reviews(0));
+  ExpectBitIdentical(fast, ReferenceAlignment(instance_, all), "all");
+}
+
+TEST_F(AlignmentOracleTest, RandomSelectionsWithEmptyItemsBitIdentical) {
+  Rng rng(67);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<Selection> selections;
+    for (size_t item = 0; item < 4; ++item) {
+      // Every fourth item selection is empty; the rest keep each review
+      // with probability 1/3.
+      Selection selection;
+      if (rng.UniformU32(4) != 0) {
+        for (size_t r = 0; r < Reviews(item); ++r) {
+          if (rng.UniformU32(3) == 0) selection.push_back(r);
+        }
+      }
+      selections.push_back(selection);
+    }
+    ExpectBitIdentical(MeasureAlignment(instance_, selections),
+                       ReferenceAlignment(instance_, selections),
+                       "trial " + std::to_string(trial));
+  }
+}
+
+TEST_F(AlignmentOracleTest, SubsetsBitIdentical) {
+  std::vector<Selection> selections = {
+      {0, 3, 6, 10, 12}, {1, 4, 7, 11}, {}, {2, 5, 8, 9, 13}};
+  const std::vector<std::vector<size_t>> subsets = {
+      {1, 3}, {3, 1}, {1, 2, 3}, {0, 3}, {3, 0, 1}, {2}, {}};
+  for (const std::vector<size_t>& items : subsets) {
+    std::string context = "items";
+    for (size_t item : items) context += " " + std::to_string(item);
+    AlignmentScores fast =
+        MeasureAlignmentSubset(instance_, selections, items);
+    ExpectBitIdentical(fast,
+                       ReferenceAlignment(instance_, selections, items),
+                       context);
+    if (std::find(items.begin(), items.end(), size_t{0}) == items.end()) {
+      EXPECT_EQ(fast.target_pairs, 0u) << context;
+    }
+  }
 }
 
 // --- Information loss (Figure 11) ------------------------------------------

@@ -116,6 +116,38 @@ TEST(SparseMatrixTest, GramSystemMatchesDenseNormalEquations) {
   }
 }
 
+TEST(SparseMatrixTest, GramSystemWithEmptyTrailingColumn) {
+  // The last column has no entries, so its span starts at nnz(): one past
+  // the last stored entry. Under _GLIBCXX_ASSERTIONS, taking that span
+  // by element access aborted the build.
+  SparseMatrix sparse(3);
+  sparse.AppendColumn({{0, 1.0}, {2, 2.0}});
+  sparse.AppendColumn({{1, -1.5}});
+  sparse.AppendColumn({});
+  ASSERT_EQ(sparse.ColumnNnz(2), 0u);
+  EXPECT_EQ(sparse.ColumnRows(2), sparse.RowIdx() + sparse.nnz());
+  EXPECT_EQ(sparse.ColumnValues(2), sparse.Values() + sparse.nnz());
+
+  Vector target(3);
+  target[0] = 1.0;
+  target[1] = 2.0;
+  target[2] = 3.0;
+  GramSystem gram = BuildGramSystem(sparse, target);
+  ASSERT_EQ(gram.cols(), 3u);
+  EXPECT_DOUBLE_EQ(gram.gram(0, 0), 5.0);
+  EXPECT_DOUBLE_EQ(gram.gram(1, 1), 2.25);
+  EXPECT_DOUBLE_EQ(gram.gram(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(gram.vty[0], 7.0);
+  EXPECT_DOUBLE_EQ(gram.vty[1], -3.0);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(gram.gram(i, 2), 0.0);
+    EXPECT_DOUBLE_EQ(gram.gram(2, i), 0.0);
+  }
+  EXPECT_DOUBLE_EQ(gram.vty[2], 0.0);
+  EXPECT_DOUBLE_EQ(gram.col_norms[2], 0.0);
+  EXPECT_DOUBLE_EQ(sparse.ColumnDot(2, target), 0.0);
+}
+
 TEST(SparseMatrixTest, EmptyMatrixHasNoColumns) {
   SparseMatrix m(5);
   EXPECT_EQ(m.rows(), 5u);

@@ -120,32 +120,6 @@ size_t BitParallelLcsLength(const std::vector<uint32_t>& a,
   return lcs.Length(b);
 }
 
-TEST(IdNgramTest, SortedRunLengthCounts) {
-  IdNgramCounts unigrams = CountIdNgrams({3, 1, 3, 3}, 1);
-  EXPECT_EQ(unigrams, (IdNgramCounts{{1, 1}, {3, 3}}));
-  IdNgramCounts bigrams = CountIdNgrams({1, 2, 1, 2}, 2);
-  uint64_t one_two = uint64_t{1} << 32 | 2;
-  uint64_t two_one = uint64_t{2} << 32 | 1;
-  EXPECT_EQ(bigrams, (IdNgramCounts{{one_two, 2}, {two_one, 1}}));
-  EXPECT_TRUE(CountIdNgrams({7}, 2).empty());
-  EXPECT_TRUE(CountIdNgrams({}, 1).empty());
-}
-
-TEST(IdNgramTest, ClippedOverlapMatchesStringMultisets) {
-  Rng rng(5);
-  for (int trial = 0; trial < 300; ++trial) {
-    uint32_t alphabet = 2 + rng.UniformU32(20);
-    std::vector<uint32_t> a = RandomIds(&rng, rng.UniformU32(60), alphabet);
-    std::vector<uint32_t> b = RandomIds(&rng, rng.UniformU32(60), alphabet);
-    for (size_t n : {1, 2}) {
-      EXPECT_EQ(ClippedOverlap(CountIdNgrams(a, n), CountIdNgrams(b, n)),
-                ClippedOverlap(CountNgrams(AsWords(a), n),
-                               CountNgrams(AsWords(b), n)))
-          << "trial " << trial << " n " << n;
-    }
-  }
-}
-
 TEST(BitParallelLcsTest, MatchesDynamicProgramAcrossWordBoundaries) {
   // Lengths straddle the 64-bit word edges; small alphabets force heavy
   // repeats, hence long carry chains across words.
@@ -165,6 +139,23 @@ TEST(BitParallelLcsTest, MatchesDynamicProgramAcrossWordBoundaries) {
             << "alphabet " << alphabet << " |a| " << la << " |b| " << lb;
         EXPECT_EQ(BitParallelLcsLength(b, a), expected);
       }
+    }
+  }
+}
+
+TEST(BitParallelLcsTest, EveryPatternLengthMatchesDynamicProgram) {
+  // Every pattern length 0..200 covers the 1-word, 2-word and multi-word
+  // paths and each of their edges, each against texts of a few lengths.
+  Rng rng(29);
+  BitParallelLcs lcs(6, 200);
+  for (size_t la = 0; la <= 200; ++la) {
+    std::vector<uint32_t> a = RandomIds(&rng, la, 2 + la % 5);
+    lcs.SetPattern(a);
+    EXPECT_EQ(lcs.Length(a), la);
+    for (size_t lb : {size_t{0}, size_t{1}, la / 2, la, size_t{150}}) {
+      std::vector<uint32_t> b = RandomIds(&rng, lb, 2 + lb % 5);
+      EXPECT_EQ(lcs.Length(b), LcsLength(AsWords(a), AsWords(b)))
+          << "|a| " << la << " |b| " << lb;
     }
   }
 }

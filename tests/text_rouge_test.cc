@@ -140,12 +140,12 @@ RougeTriple ReferencePair(const std::string& a, const std::string& b) {
 }
 
 RougeTriple InternedPair(const std::string& a, const std::string& b) {
-  TokenVocabulary vocabulary;
-  InternedDocument da(a, &vocabulary);
-  InternedDocument db(b, &vocabulary);
-  BitParallelLcs lcs(vocabulary.size(), da.ids.size());
-  lcs.SetPattern(da.ids);
-  return SymmetricRouge(da, db, &lcs);
+  InternedDocuments docs;
+  size_t da = docs.Add(a);
+  size_t db = docs.Add(b);
+  SymmetricRougeScorer scorer(&docs);
+  scorer.SetOuter(da);
+  return scorer.Score(db);
 }
 
 std::string RandomText(Rng* rng, size_t max_tokens, uint32_t alphabet) {
@@ -187,13 +187,82 @@ TEST(InternedRougeTest, EdgeCasesBitIdentical) {
   }
 }
 
-TEST(InternedRougeTest, VocabularyAssignsDenseIds) {
-  TokenVocabulary vocabulary;
-  InternedDocument doc("b a b c", &vocabulary);
-  EXPECT_EQ(doc.ids, (std::vector<uint32_t>{0, 1, 0, 2}));
-  EXPECT_EQ(vocabulary.size(), 3u);
-  EXPECT_EQ(doc.unigrams, (IdNgramCounts{{0, 2}, {1, 1}, {2, 1}}));
-  EXPECT_EQ(doc.bigrams.size(), 3u);
+TEST(InternedRougeTest, DocumentsKeepDenseIdsAndCounts) {
+  InternedDocuments docs;
+  docs.Add("b a b c");
+  docs.Add("c b a b");
+  EXPECT_EQ(docs.size(), 2u);
+  EXPECT_EQ(docs.num_words(), 3u);
+  // Bigrams: "b a", "a b", "b c", then "c b" new in the second document.
+  EXPECT_EQ(docs.num_bigrams(), 4u);
+  EXPECT_EQ(docs.max_tokens(), 4u);
+  auto ids = docs.ids(1);
+  EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()),
+            (std::vector<uint32_t>{2, 0, 1, 0}));
+  // (id, count) lists in first-seen order within the document.
+  auto unigrams = docs.unigrams(0);
+  ASSERT_EQ(unigrams.size(), 3u);
+  EXPECT_EQ(unigrams[0].id, 0u);
+  EXPECT_EQ(unigrams[0].count, 2);
+  EXPECT_EQ(unigrams[2].count, 1);
+  auto bigrams = docs.bigrams(1);
+  ASSERT_EQ(bigrams.size(), 3u);  // "c b", "b a", "a b".
+  EXPECT_EQ(bigrams[0].id, 3u);
+}
+
+TEST(InternedRougeTest, CountListsMatchStringMultisets) {
+  // Every document's (id, count) lists, read back through the words the
+  // ids stand for, equal CountNgrams over Tokenize.
+  Rng rng(5);
+  std::vector<std::string> texts;
+  for (int doc = 0; doc < 100; ++doc) {
+    texts.push_back(RandomText(&rng, 80, 2 + rng.UniformU32(11)));
+  }
+  texts.push_back("");
+  texts.push_back("single");
+  InternedDocuments docs;
+  TokenInterner words;  // Replays the same interning to name the ids.
+  for (const std::string& text : texts) {
+    size_t doc = docs.Add(text);
+    std::vector<uint32_t> ids;
+    words.AppendIds(text, &ids);
+    auto doc_ids = docs.ids(doc);
+    ASSERT_EQ(std::vector<uint32_t>(doc_ids.begin(), doc_ids.end()), ids);
+    std::vector<std::string> tokens = Tokenize(text);
+    NgramCounts unigrams;
+    for (const auto& [id, count] : docs.unigrams(doc)) {
+      unigrams[std::string(words.Word(id))] += count;
+    }
+    EXPECT_EQ(unigrams, CountNgrams(tokens, 1)) << text;
+    int bigram_total = 0;
+    for (const auto& [id, count] : docs.bigrams(doc)) bigram_total += count;
+    EXPECT_EQ(bigram_total, TotalCount(CountNgrams(tokens, 2))) << text;
+    EXPECT_EQ(docs.bigrams(doc).size(), CountNgrams(tokens, 2).size())
+        << text;
+  }
+}
+
+TEST(InternedRougeTest, ScorerReusedAcrossOuterDocuments) {
+  // One scorer, every ordered pair: each SetOuter must fully clear the
+  // previous outer document's count tables and LCS masks.
+  Rng rng(41);
+  std::vector<std::string> texts;
+  for (int doc = 0; doc < 30; ++doc) {
+    texts.push_back(RandomText(&rng, 140, 2 + rng.UniformU32(11)));
+  }
+  texts.push_back("");
+  InternedDocuments docs;
+  for (const std::string& text : texts) docs.Add(text);
+  SymmetricRougeScorer scorer(&docs);
+  for (size_t a = 0; a < texts.size(); ++a) {
+    scorer.SetOuter(a);
+    for (size_t b = 0; b < texts.size(); ++b) {
+      RougeTriple fast = scorer.Score(b);
+      RougeTriple reference = ReferencePair(texts[a], texts[b]);
+      EXPECT_EQ(std::memcmp(&fast, &reference, sizeof(RougeTriple)), 0)
+          << "a " << a << " b " << b;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Full verification sweep: configure -> build -> ctest under both the
-# Release and the Sanitize (ASan + UBSan) configurations. The sanitize
+# Release and the Sanitize (ASan + UBSan + libstdc++'s
+# _GLIBCXX_ASSERTIONS bounds checks) configurations. The sanitize
 # pass runs the whole suite — including the thread-pool and
 # SelectionEngine tests, plus the streaming-ingestion suites
 # (service_ingest_wal_test's crash-recovery property sweeps and
